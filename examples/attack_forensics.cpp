@@ -82,9 +82,10 @@ int main(int argc, char** argv) {
   classify::StreamingParams sp;
   sp.min_spoofed_packets = 30;
   sp.min_share = 0.02;
+  const auto plane = classify::FlatClassifier::compile(world->classifier());
   classify::StreamingDetector detector(
-      world->classifier(),
-      scenario::Scenario::space_index(inference::Method::kFullConeOrg), sp);
+      plane, scenario::Scenario::space_index(inference::Method::kFullConeOrg),
+      sp);
   const auto alerts = detector.run(flows);
   std::cout << "\n== Live detection ==\n  " << alerts.size()
             << " member alerts over the window; first five:\n";

@@ -92,7 +92,7 @@ SimdKernel resolve_simd_kernel(SimdKernel requested) {
   if (!simd_kernel_usable(requested)) {
     throw std::runtime_error(
         std::string("simd kernel '") + simd_kernel_name(requested) +
-        "' not usable on this build/CPU (try --simd auto)");
+        "' not usable on this build/CPU");
   }
   return requested;
 }

@@ -42,20 +42,6 @@ std::string class_name(TrafficClass c) {
   return "?";
 }
 
-std::string engine_name(Engine e) {
-  switch (e) {
-    case Engine::kTrie: return "trie";
-    case Engine::kFlat: return "flat";
-  }
-  return "?";
-}
-
-std::optional<Engine> parse_engine(std::string_view name) {
-  if (name == "trie") return Engine::kTrie;
-  if (name == "flat") return Engine::kFlat;
-  return std::nullopt;
-}
-
 Classifier::Classifier(const bgp::RoutingTable& table,
                        std::vector<inference::ValidSpace> spaces)
     : Classifier(table, share_all(std::move(spaces))) {}

@@ -7,9 +7,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bgp/routing_table.hpp"
@@ -38,21 +36,6 @@ inline constexpr int kNumClasses = 4;
 
 /// Display name matching the paper ("Bogon", "Unrouted", ...).
 std::string class_name(TrafficClass c);
-
-/// The two interchangeable classification engines: the pointer-chasing
-/// trie/interval engine and the compiled flat plane (FlatClassifier).
-/// Both produce bit-identical labels; the flat engine trades a one-off
-/// compile step and ~64 MiB of tables for O(1) per-flow lookups.
-enum class Engine : std::uint8_t {
-  kTrie = 0,  ///< bogon trie + routed trie + per-member interval sets
-  kFlat = 1,  ///< DIR-24-8 base-class table + prefix-id bitsets
-};
-
-/// "trie" / "flat".
-std::string engine_name(Engine e);
-
-/// Inverse of engine_name; nullopt on anything else.
-std::optional<Engine> parse_engine(std::string_view name);
 
 /// Compact per-flow label: 2 bits per configured valid space.
 using Label = std::uint16_t;

@@ -124,8 +124,9 @@ class FlatClassifier {
   /// batch.size().
   void classify_batch(const net::FlowBatch& batch, std::span<Label> out) const;
 
-  /// Kernel-pinned variant: `kernel` selects the implementation (the
-  /// --simd knob); an explicit kernel this build/CPU cannot run throws.
+  /// Kernel-pinned variant for the differential tests and benches:
+  /// `kernel` selects the implementation; an explicit kernel this
+  /// build/CPU cannot run throws.
   void classify_batch(const net::FlowBatch& batch, std::span<Label> out,
                       SimdKernel kernel) const;
 

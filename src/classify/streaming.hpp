@@ -38,7 +38,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "classify/batch_kernels.hpp"
 #include "classify/classifier.hpp"
 #include "net/flow.hpp"
 #include "util/error_policy.hpp"
@@ -90,12 +89,6 @@ struct StreamingParams {
   /// retires the member's oldest sample early, counted in
   /// health().sample_evictions.
   std::size_t max_window_samples = 0;
-
-  /// Batch-classification kernel for the flat engine (ingest_batch
-  /// classifies whole batches through it; the kernels are proven
-  /// bit-identical, so — like the engine choice — this is excluded from
-  /// config_hash() and checkpoints stay portable across kernels).
-  SimdKernel simd = SimdKernel::kAuto;
 };
 
 /// Degradation counters: how far the detector had to deviate from the
@@ -138,23 +131,20 @@ class StreamingDetector {
  public:
   using AlertFn = std::function<void(const SpoofingAlert&)>;
 
-  /// `classifier` must outlive the detector; `space_idx` selects the
-  /// inference method (typically FULL+org).
-  StreamingDetector(const Classifier& classifier, std::size_t space_idx,
-                    StreamingParams params = {});
-
-  /// Flat-engine variant: identical alerts (the engines are proven
-  /// bit-identical), O(1) per-flow classification cost.
-  StreamingDetector(const FlatClassifier& classifier, std::size_t space_idx,
+  /// Classifies on the compiled plane, which must outlive the detector
+  /// (or be swapped out via rebind()); `space_idx` selects the inference
+  /// method (typically FULL+org).
+  StreamingDetector(const FlatClassifier& plane, std::size_t space_idx,
                     StreamingParams params = {});
 
   /// Processes one flow; invokes `on_alert` zero or more times (buffered
   /// flows may be released and alert on this call).
   void ingest(const net::FlowRecord& flow, const AlertFn& on_alert);
 
-  /// Batch variant: ingests a FlowBatch's flows in lane order, so alerts
-  /// and health counters are identical to per-record ingest of the same
-  /// records.
+  /// Batch variant: classifies the whole batch through the plane's batch
+  /// kernel (chosen by resolve_simd_kernel(kAuto)), then ingests in lane
+  /// order, so alerts and health counters are identical to per-record
+  /// ingest of the same records.
   void ingest_batch(const net::FlowBatch& batch, const AlertFn& on_alert);
 
   /// Drains the reorder buffer at end of stream; a no-op when the buffer
@@ -168,9 +158,8 @@ class StreamingDetector {
   /// rule sync_plane_epoch() applies to in-place patches), and the
   /// epoch baseline is taken from the new object. The caller owns the
   /// lifetime of `plane` and must not call this concurrently with
-  /// ingest. Rebinding a trie-engine detector switches it to the flat
-  /// engine; the engines are proven bit-identical, and config_hash()
-  /// deliberately excludes the engine, so checkpoints stay valid.
+  /// ingest. config_hash() excludes the plane, so checkpoints stay
+  /// valid across a rebind.
   void rebind(const FlatClassifier& plane);
 
   /// Convenience: run over a whole trace (including flush), collecting
@@ -185,9 +174,9 @@ class StreamingDetector {
 
   /// 64-bit FNV-1a over the detection configuration (StreamingParams +
   /// space index). Checkpoints embed it and restore() refuses a
-  /// snapshot taken under a different configuration. The engine is
-  /// deliberately excluded: trie and flat are proven bit-identical, so
-  /// checkpoints are portable across engines.
+  /// snapshot taken under a different configuration. The plane is
+  /// deliberately excluded, so a checkpoint restores onto any plane
+  /// compiled from the same routing view and valid spaces.
   std::uint64_t config_hash() const;
 
   /// Crash-safe checkpoint: atomically persists the complete detection
@@ -278,7 +267,7 @@ class StreamingDetector {
     }
   };
 
-  /// Per-flow classification on whichever engine is configured.
+  /// Per-flow classification on the plane.
   TrafficClass classify_one(const net::FlowRecord& flow) const;
   /// ingest() with the class already resolved (the batch path classifies
   /// up front through the SIMD kernels).
@@ -293,7 +282,7 @@ class StreamingDetector {
   void evict_idle_member();
   /// Keeps the idle-eviction index in sync with a member's activity.
   void touch_member(Asn member, MemberWindow& w, std::uint32_t ts);
-  /// Back to the freshly-constructed state (config and engine kept).
+  /// Back to the freshly-constructed state (config and plane kept).
   void reset_state();
   /// Reclassifies buffered flows when the flat plane's epoch moved
   /// (apply_updates() patched it while flows sat in the reorder buffer):
@@ -301,8 +290,7 @@ class StreamingDetector {
   /// *leaves* the buffer, matching what classify-at-release would do.
   void sync_plane_epoch();
 
-  const Classifier* classifier_ = nullptr;   // exactly one engine is set
-  const FlatClassifier* flat_ = nullptr;
+  const FlatClassifier* plane_;
   std::size_t space_idx_;
   StreamingParams params_;
   std::unordered_map<Asn, MemberWindow> windows_;
@@ -321,7 +309,7 @@ class StreamingDetector {
   bool released_any_ = false;         ///< last_released_ts_ is meaningful
   std::uint64_t processed_ = 0;
   DetectorHealth health_;
-  std::vector<Label> batch_labels_;  ///< ingest_batch scratch (flat engine)
+  std::vector<Label> batch_labels_;  ///< ingest_batch scratch
   std::uint64_t last_plane_epoch_ = 0;  ///< plane epoch pending_ was classified under
   /// Delta baseline: members whose window changed / that were evicted
   /// since the last clear_dirty(). Maintained unconditionally (a few

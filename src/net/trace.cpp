@@ -48,8 +48,7 @@ void write_trace(std::ostream& out, const Trace& trace) {
 TraceReader::TraceReader(std::istream& in, util::ErrorPolicy policy,
                          util::IngestStats* stats)
     : in_(&in), policy_(policy), stats_(stats ? stats : &own_stats_) {
-  // Pull in at most the largest header; a v1 stream's 4 surplus bytes
-  // simply stay in the buffer as the first record bytes.
+  // Pull in the header; parse_header refuses anything but v2.
   while (buf_.size() < format::kHeaderSizeV2 && *in_) {
     char chunk[format::kHeaderSizeV2];
     in_->read(chunk, static_cast<std::streamsize>(format::kHeaderSizeV2 -

@@ -4,10 +4,8 @@
 //
 // Format v2 (current): fixed little-endian header guarded by an FNV-1a
 // checksum, then fixed-size records each carrying their own checksum, so
-// bit damage anywhere in the stream is detectable. v1 streams (no
-// checksums) are still readable; bit flips in them are undetectable by
-// construction, but skip mode applies a structural plausibility check per
-// record so even a damaged v1 stream resyncs to the surviving tail.
+// bit damage anywhere in the stream is detectable. Other versions
+// (including the checksum-less v1) are refused as unsupported.
 //
 // Two reading modes (util::ErrorPolicy):
 //   kStrict  first malformed byte throws (historical behaviour);
@@ -115,7 +113,7 @@ class TraceReader {
   std::size_t pos_ = 0;            ///< consumed prefix of buf_
 };
 
-/// Reads a whole trace written by write_trace (v1 or v2). Strict policy
+/// Reads a whole trace written by write_trace (v2). Strict policy
 /// throws std::runtime_error on malformed input (bad magic, checksum
 /// mismatch, truncated records, unsupported version); skip policy
 /// returns the surviving records and accounts losses in `stats`.

@@ -22,13 +22,10 @@
 namespace spoofscope::net::format {
 
 inline constexpr std::uint32_t kMagic = 0x53504F46;  // "SPOF"
-inline constexpr std::uint32_t kVersionV1 = 1;       // no checksums
 inline constexpr std::uint32_t kVersionV2 = 2;       // header + per-record FNV-1a
-inline constexpr std::size_t kHeaderBody = 32;       // shared v1/v2 header layout
-inline constexpr std::size_t kHeaderSizeV1 = kHeaderBody;
+inline constexpr std::size_t kHeaderBody = 32;       // checksummed header fields
 inline constexpr std::size_t kHeaderSizeV2 = kHeaderBody + 4;  // + checksum
-inline constexpr std::size_t kPayloadSize = 36;      // record body (both versions)
-inline constexpr std::size_t kRecordSizeV1 = kPayloadSize;
+inline constexpr std::size_t kPayloadSize = 36;      // record body
 inline constexpr std::size_t kRecordSizeV2 = kPayloadSize + 4;  // + checksum
 
 inline void put_u16(std::uint8_t* p, std::uint16_t v) {
@@ -100,30 +97,6 @@ inline FlowRecord decode_record(const std::uint8_t* p) {
   return f;
 }
 
-/// Heuristic record validator for v1 streams (which carry no checksums):
-/// a candidate 36-byte window is plausible iff its structural invariants
-/// hold — reserved/padding bytes zero, a protocol the vantage point
-/// exports, non-zero packet and byte counts, and a timestamp inside the
-/// header-declared window (skipped when the header declares none). The
-/// writer can never produce an implausible record, so a clean v1 stream
-/// is unaffected; random garbage passes with probability ~2^-26, so the
-/// skip-mode byte slide re-locks onto the true record boundary after
-/// damage instead of swallowing the rest of the stream as one record run.
-inline bool plausible_v1_record(const std::uint8_t* p,
-                                std::uint32_t window_seconds) {
-  if (p[13] != 0 || p[18] != 0 || p[19] != 0) return false;
-  const std::uint8_t proto = p[12];
-  if (proto != static_cast<std::uint8_t>(Proto::kIcmp) &&
-      proto != static_cast<std::uint8_t>(Proto::kTcp) &&
-      proto != static_cast<std::uint8_t>(Proto::kUdp)) {
-    return false;
-  }
-  if (get_u32(p + 20) == 0) return false;  // packets
-  if (get_u64(p + 24) == 0) return false;  // bytes
-  if (window_seconds != 0 && get_u32(p + 0) > window_seconds) return false;
-  return true;
-}
-
 /// Parsed trace header, or the reason it was rejected (raw fields; the
 /// public readers package them into a TraceMeta).
 struct Header {
@@ -131,15 +104,14 @@ struct Header {
   std::uint32_t window_seconds = 0;
   std::uint64_t seed = 0;
   std::uint64_t declared = 0;
-  std::uint32_t version = 0;
   std::size_t size = 0;  ///< header bytes consumed when ok
   bool ok = false;
 };
 
-/// Parses and validates the v1/v2 header from the first bytes of `data`
+/// Parses and validates the v2 header from the first bytes of `data`
 /// (which need not extend past the header). Strict policy throws
 /// std::runtime_error exactly like the historical reader; skip policy
-/// accounts the failure in `stats` and returns ok=false (or, for a v2
+/// accounts the failure in `stats` and returns ok=false (or, for a
 /// header-checksum mismatch, notes the damage and proceeds best-effort).
 inline Header parse_header(std::span<const std::uint8_t> data,
                            util::ErrorPolicy policy, util::IngestStats& stats) {
@@ -158,21 +130,17 @@ inline Header parse_header(std::span<const std::uint8_t> data,
     stats.skip(util::ErrorKind::kBadMagic, kHeaderBody);
     return h;
   }
-  h.version = get_u32(data.data() + 4);
-  if (h.version != kVersionV1 && h.version != kVersionV2) {
+  if (get_u32(data.data() + 4) != kVersionV2) {
     if (strict) return fail("unsupported version");
     stats.skip(util::ErrorKind::kBadVersion, kHeaderBody);
     return h;
   }
-  h.size = h.version == kVersionV2 ? kHeaderSizeV2 : kHeaderSizeV1;
-  if (data.size() < h.size) {
+  if (data.size() < kHeaderSizeV2) {
     if (strict) return fail("truncated header");
     stats.skip(util::ErrorKind::kTruncated, data.size());
-    h.size = 0;
     return h;
   }
-  if (h.version == kVersionV2 &&
-      get_u32(data.data() + kHeaderBody) != fnv1a32(data.data(), kHeaderBody)) {
+  if (get_u32(data.data() + kHeaderBody) != fnv1a32(data.data(), kHeaderBody)) {
     if (strict) return fail("header checksum mismatch");
     // Best effort in skip mode: the metadata may be damaged, but the
     // records carry their own checksums, so recovery can proceed.
@@ -182,6 +150,7 @@ inline Header parse_header(std::span<const std::uint8_t> data,
   h.window_seconds = get_u32(data.data() + 12);
   h.seed = get_u64(data.data() + 16);
   h.declared = get_u64(data.data() + 24);
+  h.size = kHeaderSizeV2;
   h.ok = true;
   return h;
 }
@@ -194,23 +163,15 @@ inline Header parse_header(std::span<const std::uint8_t> data,
 /// Semantics replicate the historical per-record reader exactly:
 ///   - strict: declared-count records, first malformed byte throws,
 ///     trailing bytes ignored;
-///   - skip: records are validated (v2: checksum; v1: plausibility
-///     heuristic) and damage starts a byte-wise resync, one quarantined
-///     record counted per damaged region.
+///   - skip: records are validated by their checksum and damage starts
+///     a byte-wise resync, one quarantined record counted per damaged
+///     region.
 class RecordScanner {
  public:
   RecordScanner() = default;
   RecordScanner(const Header& header, util::ErrorPolicy policy,
                 util::IngestStats* stats)
-      : window_seconds_(header.window_seconds),
-        declared_(header.declared),
-        version_(header.version),
-        policy_(policy),
-        stats_(stats) {}
-
-  std::size_t record_size() const {
-    return version_ == kVersionV2 ? kRecordSizeV2 : kRecordSizeV1;
-  }
+      : declared_(header.declared), policy_(policy), stats_(stats) {}
 
   /// True once the scanner will deliver no further records (strict
   /// declared count reached, or finish() was called).
@@ -219,7 +180,7 @@ class RecordScanner {
   std::uint64_t delivered() const { return delivered_; }
 
   /// Decodes records from `window`, invoking sink(payload) for each valid
-  /// one, until `max_records` are delivered, fewer than record_size()
+  /// one, until `max_records` are delivered, fewer than kRecordSizeV2
   /// bytes remain, or the scanner is done. Returns the bytes consumed
   /// (valid records plus resync slides); the caller must carry the
   /// unconsumed suffix into the next call.
@@ -227,7 +188,6 @@ class RecordScanner {
   std::size_t scan(std::span<const std::uint8_t> window,
                    std::size_t max_records, Sink&& sink) {
     const bool strict = policy_ == util::ErrorPolicy::kStrict;
-    const std::size_t rec = record_size();
     std::size_t off = 0;
     std::size_t n = 0;
     while (n < max_records && !done_) {
@@ -237,15 +197,12 @@ class RecordScanner {
         done_ = true;
         break;
       }
-      if (window.size() - off < rec) break;  // caller must refill or finish
+      // Fewer bytes than a record: the caller must refill or finish.
+      if (window.size() - off < kRecordSizeV2) break;
       const std::uint8_t* p = window.data() + off;
-      const bool valid =
-          version_ == kVersionV2
-              ? get_u32(p + kPayloadSize) == fnv1a32(p, kPayloadSize)
-              : (strict || plausible_v1_record(p, window_seconds_));
-      if (valid) {
+      if (get_u32(p + kPayloadSize) == fnv1a32(p, kPayloadSize)) {
         sink(p);
-        off += rec;
+        off += kRecordSizeV2;
         ++delivered_;
         ++n;
         stats_->ok();
@@ -257,9 +214,7 @@ class RecordScanner {
       // slide the window byte-by-byte until a record validates again.
       if (!resyncing_) {
         resyncing_ = true;
-        stats_->skip(version_ == kVersionV2 ? util::ErrorKind::kChecksum
-                                            : util::ErrorKind::kParse,
-                     0);
+        stats_->skip(util::ErrorKind::kChecksum, 0);
       }
       ++off;
       ++stats_->bytes_dropped;
@@ -291,9 +246,7 @@ class RecordScanner {
   }
 
  private:
-  std::uint32_t window_seconds_ = 0;
   std::uint64_t declared_ = 0;
-  std::uint32_t version_ = 0;
   util::ErrorPolicy policy_ = util::ErrorPolicy::kStrict;
   util::IngestStats* stats_ = nullptr;
   std::uint64_t delivered_ = 0;

@@ -27,14 +27,10 @@ Server::Server(std::shared_ptr<classify::FlatClassifier> plane,
   build_shards();
 }
 
-Server::Server(const classify::Classifier& classifier, ServerConfig cfg)
-    : cfg_(std::move(cfg)), trie_(&classifier), router_(cfg_.shards) {
-  build_shards();
-}
-
 Server::~Server() { stop(); }
 
 void Server::build_shards() {
+  if (!hub_.current()) throw std::invalid_argument("server needs a plane");
   if (cfg_.shards == 0) throw std::invalid_argument("shards must be >= 1");
   if (!cfg_.checkpoint_dir.empty()) {
     std::filesystem::create_directories(cfg_.checkpoint_dir);
@@ -53,11 +49,7 @@ void Server::build_shards() {
       scfg.checkpoint_base =
           state::shard_checkpoint_base(cfg_.checkpoint_dir, i, cfg_.shards);
     }
-    if (hub_.has_plane()) {
-      shards_.push_back(std::make_unique<Shard>(hub_.current(), std::move(scfg)));
-    } else {
-      shards_.push_back(std::make_unique<Shard>(*trie_, std::move(scfg)));
-    }
+    shards_.push_back(std::make_unique<Shard>(hub_.current(), std::move(scfg)));
   }
 }
 
@@ -152,9 +144,6 @@ std::vector<classify::SpoofingAlert> Server::merged_alerts() {
 }
 
 ReloadResult Server::reload_updates(const std::string& mrt_path) {
-  if (!hub_.has_plane()) {
-    throw std::runtime_error("reload-updates requires the flat engine");
-  }
   std::ifstream in(mrt_path);
   if (!in) throw std::runtime_error("cannot open updates file: " + mrt_path);
   ReloadResult result;
@@ -200,7 +189,7 @@ void Server::stop() {
 }
 
 std::uint64_t Server::plane_epoch() const {
-  return hub_.has_plane() ? hub_.current()->epoch() : 0;
+  return hub_.current()->epoch();
 }
 
 // --- control socket ---------------------------------------------------
@@ -241,26 +230,38 @@ void send_all(int fd, std::string_view text) {
   }
 }
 
-/// Reads one LF-terminated line (without the LF) into `line`. Returns
-/// false on EOF/error with nothing buffered.
-bool read_line(int fd, std::string& buffer, std::string& line) {
+/// Longest request line (LF excluded) a client may send. Every verb's
+/// argument is a path, so this is far above any real request; it bounds
+/// what one client that never sends LF can make the daemon buffer.
+constexpr std::size_t kMaxRequestLine = std::size_t{64} << 10;
+
+enum class LineRead { kLine, kClosed, kTooLong };
+
+/// Reads one LF-terminated line (without the LF) into `line`. kClosed on
+/// EOF/error with nothing buffered; kTooLong once the pending line
+/// exceeds kMaxRequestLine.
+LineRead read_line(int fd, std::string& buffer, std::string& line) {
+  std::size_t scanned = 0;
   for (;;) {
-    const std::size_t nl = buffer.find('\n');
+    const std::size_t nl = buffer.find('\n', scanned);
     if (nl != std::string::npos) {
+      if (nl > kMaxRequestLine) return LineRead::kTooLong;
       line.assign(buffer, 0, nl);
       buffer.erase(0, nl + 1);
-      return true;
+      return LineRead::kLine;
     }
+    if (buffer.size() > kMaxRequestLine) return LineRead::kTooLong;
+    scanned = buffer.size();
     char chunk[4096];
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return false;
+      return LineRead::kClosed;
     }
     if (n == 0) {
-      if (buffer.empty()) return false;
+      if (buffer.empty()) return LineRead::kClosed;
       line = std::exchange(buffer, {});  // unterminated trailing line
-      return true;
+      return LineRead::kLine;
     }
     buffer.append(chunk, static_cast<std::size_t>(n));
   }
@@ -368,7 +369,13 @@ int run_control_loop(Server& server, const std::string& socket_path,
     }
     std::string buffer;
     std::string line;
-    while (running && read_line(client.fd, buffer, line)) {
+    while (running) {
+      const LineRead got = read_line(client.fd, buffer, line);
+      if (got == LineRead::kClosed) break;
+      if (got == LineRead::kTooLong) {
+        send_all(client.fd, "err request line too long\n");
+        break;  // drop this client; the loop keeps serving others
+      }
       std::string error;
       const auto req = parse_request(line, error);
       std::string response;

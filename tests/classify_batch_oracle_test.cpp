@@ -7,7 +7,10 @@
 // flat-plane compile to the sequential compile via plane_digest().
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <tuple>
 #include <unordered_set>
 #include <vector>
@@ -56,6 +59,29 @@ void expect_same_aggregate(const Aggregate& a, const Aggregate& b,
     }
   }
 }
+
+/// Pins what SimdKernel::kAuto resolves to through SPOOFSCOPE_SIMD for
+/// the object's lifetime (the detector always asks for kAuto), then
+/// restores the caller's setting (tools/check.sh pins the whole binary).
+class PinnedKernel {
+ public:
+  explicit PinnedKernel(SimdKernel kernel) {
+    if (const char* v = std::getenv("SPOOFSCOPE_SIMD")) saved_ = v;
+    ::setenv("SPOOFSCOPE_SIMD", simd_kernel_name(kernel), 1);
+  }
+  ~PinnedKernel() {
+    if (saved_) {
+      ::setenv("SPOOFSCOPE_SIMD", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("SPOOFSCOPE_SIMD");
+    }
+  }
+  PinnedKernel(const PinnedKernel&) = delete;
+  PinnedKernel& operator=(const PinnedKernel&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
 
 class BatchOracleTest : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -142,9 +168,8 @@ TEST_P(BatchOracleTest, StreamingAlertsAndHealthIdenticalAcrossKernels) {
   sp.reorder_skew_seconds = 60;  // skew > 0: pending heap carries classes
 
   const auto run_with = [&](SimdKernel kernel) {
-    StreamingParams p = sp;
-    p.simd = kernel;
-    StreamingDetector det(flat, 0, p);
+    const PinnedKernel pin(kernel);
+    StreamingDetector det(flat, 0, sp);
     std::vector<SpoofingAlert> alerts;
     const auto sink = [&alerts](const SpoofingAlert& a) {
       alerts.push_back(a);
@@ -245,40 +270,30 @@ TEST_P(BatchOracleTest, IngestBatchAlertsAndHealthIdenticalToRun) {
   sp.min_share = 0.01;
   sp.reorder_skew_seconds = 60;
 
-  struct Engine {
-    const char* name;
-    StreamingDetector per_record;
-    StreamingDetector batched;
-  };
-  Engine engines[] = {
-      {"trie", StreamingDetector(w->classifier(), 0, sp),
-       StreamingDetector(w->classifier(), 0, sp)},
-      {"flat", StreamingDetector(flat, 0, sp), StreamingDetector(flat, 0, sp)},
-  };
-  for (auto& e : engines) {
-    const auto expected = e.per_record.run(flows);
-    EXPECT_FALSE(expected.empty()) << e.name;  // thresholds actually fire
+  StreamingDetector per_record(flat, 0, sp);
+  StreamingDetector batched(flat, 0, sp);
+  const auto expected = per_record.run(flows);
+  EXPECT_FALSE(expected.empty());  // thresholds actually fire
 
-    std::vector<SpoofingAlert> got;
-    const auto sink = [&got](const SpoofingAlert& a) { got.push_back(a); };
-    // Uneven batch sizes so alert boundaries land mid-batch.
-    net::FlowBatch batch;
-    std::size_t i = 0;
-    util::Rng rng(GetParam() ^ 0xa1e7);
-    while (i < flows.size()) {
-      const std::size_t n =
-          std::min(flows.size() - i, std::size_t{1} + rng.index(997));
-      batch.clear();
-      for (std::size_t k = 0; k < n; ++k) batch.push_back(flows[i + k]);
-      e.batched.ingest_batch(batch, sink);
-      i += n;
-    }
-    e.batched.flush(sink);
-
-    EXPECT_EQ(got, expected) << e.name;
-    EXPECT_EQ(e.batched.processed(), e.per_record.processed()) << e.name;
-    EXPECT_EQ(e.batched.health(), e.per_record.health()) << e.name;
+  std::vector<SpoofingAlert> got;
+  const auto sink = [&got](const SpoofingAlert& a) { got.push_back(a); };
+  // Uneven batch sizes so alert boundaries land mid-batch.
+  net::FlowBatch batch;
+  std::size_t i = 0;
+  util::Rng rng(GetParam() ^ 0xa1e7);
+  while (i < flows.size()) {
+    const std::size_t n =
+        std::min(flows.size() - i, std::size_t{1} + rng.index(997));
+    batch.clear();
+    for (std::size_t k = 0; k < n; ++k) batch.push_back(flows[i + k]);
+    batched.ingest_batch(batch, sink);
+    i += n;
   }
+  batched.flush(sink);
+
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(batched.processed(), per_record.processed());
+  EXPECT_EQ(batched.health(), per_record.health());
 }
 
 TEST_P(BatchOracleTest, FileToAggregatePipelineMatchesPerRecordPath) {

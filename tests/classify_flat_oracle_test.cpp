@@ -1,7 +1,8 @@
 // Differential harness for the compiled flat classification plane: for
-// several scenario seeds, thread counts and both engines, the
-// FlatClassifier must reproduce the trie engine bit-identically — per-flow
-// labels, aggregate cells, extracted incidents and streaming alerts. Also
+// several scenario seeds and thread counts, the FlatClassifier must
+// reproduce its compile input, the trie Classifier, bit-identically —
+// per-flow labels, aggregate cells, extracted incidents and the
+// streaming alerts those labels drive. Also
 // exercises the two escape hatches the flat plane keeps for correctness:
 // the interval-set fallback lane (ValidSpace::extend with ranges that
 // don't align to routed prefixes) and the overflow lane (prefixes longer
@@ -15,6 +16,7 @@
 #include "classify/flat_classifier.hpp"
 #include "classify/pipeline.hpp"
 #include "classify/streaming.hpp"
+#include "net/flow_batch.hpp"
 #include "scenario/scenario.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -99,19 +101,6 @@ TEST_P(FlatOracleTest, SingleMethodAndRandomProbesAgree) {
   }
 }
 
-TEST_P(FlatOracleTest, ScenarioEngineKnobProducesIdenticalLabels) {
-  auto params = scenario::ScenarioParams::small();
-  params.seed = GetParam() ^ 0x5eed;
-  const auto trie_world = scenario::build_scenario(params);
-  EXPECT_EQ(trie_world->flat_classifier(), nullptr);
-
-  params.engine = Engine::kFlat;
-  params.threads = 2;  // flat compile + classify through the pool
-  const auto flat_world = scenario::build_scenario(params);
-  ASSERT_NE(flat_world->flat_classifier(), nullptr);
-  EXPECT_EQ(flat_world->labels(), trie_world->labels());
-}
-
 TEST_P(FlatOracleTest, AggregatesIncidentsAndStreamingAlertsIdentical) {
   auto params = scenario::ScenarioParams::small();
   params.seed = GetParam() ^ 0xa66;
@@ -148,14 +137,22 @@ TEST_P(FlatOracleTest, AggregatesIncidentsAndStreamingAlertsIdentical) {
     }
   }
 
+  // Alerts are a function of the per-flow classes, which equal the trie
+  // labels above; the detector's batch path (kernel) must raise exactly
+  // what its per-record path (scalar lookups) raises.
   StreamingParams sp;
   sp.min_spoofed_packets = 20;  // alert often enough to be a real check
-  StreamingDetector trie_det(w->classifier(), 4, sp);
-  StreamingDetector flat_det(flat, 4, sp);
-  const auto trie_alerts = trie_det.run(flows);
-  const auto flat_alerts = flat_det.run(flows);
-  EXPECT_GT(trie_det.processed(), 0u);
-  ASSERT_EQ(flat_alerts, trie_alerts);
+  StreamingDetector per_record(flat, 4, sp);
+  StreamingDetector batched(flat, 4, sp);
+  const auto expected = per_record.run(flows);
+  std::vector<SpoofingAlert> got;
+  const auto sink = [&got](const SpoofingAlert& a) { got.push_back(a); };
+  net::FlowBatch batch;
+  for (const auto& f : flows) batch.push_back(f);
+  batched.ingest_batch(batch, sink);
+  batched.flush(sink);
+  EXPECT_FALSE(expected.empty());
+  ASSERT_EQ(got, expected);
 }
 
 TEST_P(FlatOracleTest, ExtendWithUnalignedRangesUsesFallbackLane) {
@@ -285,14 +282,6 @@ TEST(FlatOverflow, LongerThanSlash24PrefixesStayCorrectViaOverflowLane) {
   check(net::Ipv4Addr::from_octets(10, 1, 2, 3));     // routed /8
   check(net::Ipv4Addr::from_octets(99, 9, 9, 9));     // unrouted
   check(net::Ipv4Addr::from_octets(192, 168, 1, 1));  // bogon
-}
-
-TEST(FlatEngine, EngineNamesRoundTrip) {
-  EXPECT_EQ(engine_name(Engine::kTrie), "trie");
-  EXPECT_EQ(engine_name(Engine::kFlat), "flat");
-  EXPECT_EQ(parse_engine("trie"), Engine::kTrie);
-  EXPECT_EQ(parse_engine("flat"), Engine::kFlat);
-  EXPECT_EQ(parse_engine("dir24"), std::nullopt);
 }
 
 TEST(FlatEngine, StatsReportPlausibleFootprint) {

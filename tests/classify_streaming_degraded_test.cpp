@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "detector_fixture.hpp"
 #include "net/prefix.hpp"
 #include "util/rng.hpp"
 
@@ -17,27 +18,6 @@ namespace {
 
 using net::Ipv4Addr;
 using net::pfx;
-
-/// Routing view with 50.0/16 valid for member 1 (same shape as the
-/// in-order streaming test).
-struct Fixture {
-  Fixture() {
-    bgp::RoutingTableBuilder b;
-    b.ingest_route(pfx("50.0.0.0/16"), bgp::AsPath{1});
-    b.ingest_route(pfx("60.0.0.0/16"), bgp::AsPath{2});
-    table = b.build();
-    trie::IntervalSet s;
-    s.add(pfx("50.0.0.0/16"));
-    std::unordered_map<Asn, trie::IntervalSet> spaces;
-    spaces.emplace(1, std::move(s));
-    classifier = std::make_unique<Classifier>(
-        table, std::vector<inference::ValidSpace>{
-                   inference::ValidSpace(inference::Method::kFullCone,
-                                         std::move(spaces))});
-  }
-  bgp::RoutingTable table;
-  std::unique_ptr<Classifier> classifier;
-};
 
 net::FlowRecord flow(Ipv4Addr src, std::uint32_t ts, std::uint32_t pkts = 1,
                      Asn member = 1) {
@@ -55,7 +35,7 @@ Ipv4Addr spoofed_src() { return Ipv4Addr::from_octets(99, 0, 0, 1); }
 Ipv4Addr valid_src() { return Ipv4Addr::from_octets(50, 0, 1, 1); }
 
 TEST(StreamingDegraded, ReorderWithinSkewMatchesSortedRun) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   StreamingParams params;
   params.min_spoofed_packets = 20;
   params.min_share = 0.1;
@@ -78,8 +58,8 @@ TEST(StreamingDegraded, ReorderWithinSkewMatchesSortedRun) {
   }
   ASSERT_NE(shuffled, sorted);
 
-  StreamingDetector on_sorted(*fx.classifier, 0, params);
-  StreamingDetector on_shuffled(*fx.classifier, 0, params);
+  StreamingDetector on_sorted(*fx.plane, 0, params);
+  StreamingDetector on_shuffled(*fx.plane, 0, params);
   const auto a = on_sorted.run(sorted);
   const auto b = on_shuffled.run(shuffled);
   EXPECT_EQ(a, b);
@@ -92,10 +72,10 @@ TEST(StreamingDegraded, ReorderWithinSkewMatchesSortedRun) {
 }
 
 TEST(StreamingDegraded, FlowLaterThanSkewIsDroppedAndCounted) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   StreamingParams params;
   params.reorder_skew_seconds = 10;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(*fx.plane, 0, params);
   const auto sink = [](const SpoofingAlert&) {};
   for (std::uint32_t ts = 0; ts <= 100; ++ts) {
     detector.ingest(flow(valid_src(), ts), sink);
@@ -113,11 +93,11 @@ TEST(StreamingDegraded, RegressionIsCountedNotFoldedIntoWindow) {
   // The timestamp-order contract, buffer disabled (skew 0): a regressed
   // flow is dropped and counted in health().regressions — its packets
   // must not leak into any window.
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   StreamingParams params;
   params.min_spoofed_packets = 30;
   params.min_share = 0.01;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(*fx.plane, 0, params);
   std::vector<SpoofingAlert> alerts;
   const auto sink = [&](const SpoofingAlert& a) { alerts.push_back(a); };
 
@@ -137,11 +117,11 @@ TEST(StreamingDegraded, RegressionIsCountedNotFoldedIntoWindow) {
 }
 
 TEST(StreamingDegraded, ReorderBufferCapForcesEarlyRelease) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   StreamingParams params;
   params.reorder_skew_seconds = 1000000;  // nothing matures naturally
   params.max_reorder_records = 16;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(*fx.plane, 0, params);
   const auto sink = [](const SpoofingAlert&) {};
   for (std::uint32_t ts = 0; ts < 100; ++ts) {
     detector.ingest(flow(valid_src(), ts), sink);
@@ -153,12 +133,12 @@ TEST(StreamingDegraded, ReorderBufferCapForcesEarlyRelease) {
 }
 
 TEST(StreamingDegraded, MemberCapEvictsLeastRecentlyActive) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   StreamingParams params;
   params.min_spoofed_packets = 30;
   params.min_share = 0.01;
   params.max_members = 2;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(*fx.plane, 0, params);
   std::vector<SpoofingAlert> alerts;
   const auto sink = [&](const SpoofingAlert& a) { alerts.push_back(a); };
 
@@ -177,12 +157,12 @@ TEST(StreamingDegraded, MemberCapEvictsLeastRecentlyActive) {
 }
 
 TEST(StreamingDegraded, MemberEvictionTieBreaksToSmallestAsn) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   StreamingParams params;
   params.min_spoofed_packets = 30;
   params.min_share = 0.01;
   params.max_members = 2;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(*fx.plane, 0, params);
   std::vector<SpoofingAlert> alerts;
   const auto sink = [&](const SpoofingAlert& a) { alerts.push_back(a); };
 
@@ -200,11 +180,11 @@ TEST(StreamingDegraded, MemberEvictionTieBreaksToSmallestAsn) {
 }
 
 TEST(StreamingDegraded, SampleCapBoundsWindowDepth) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   StreamingParams params;
   params.window_seconds = 1000000;  // nothing ages out naturally
   params.max_window_samples = 64;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(*fx.plane, 0, params);
   const auto sink = [](const SpoofingAlert&) {};
   for (std::uint32_t ts = 0; ts < 10000; ++ts) {
     detector.ingest(flow(spoofed_src(), ts), sink);
@@ -217,12 +197,12 @@ TEST(StreamingDegraded, SampleCapBoundsWindowDepth) {
 TEST(StreamingDegraded, PathologicalMemberScanStaysBounded) {
   // A million distinct members, each seen once: tracked state must stay
   // at the cap, deterministically.
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   StreamingParams params;
   params.max_members = 1000;
   params.max_window_samples = 8;
   const auto run_once = [&] {
-    StreamingDetector detector(*fx.classifier, 0, params);
+    StreamingDetector detector(*fx.plane, 0, params);
     const auto sink = [](const SpoofingAlert&) {};
     for (std::uint32_t i = 0; i < 1000000; ++i) {
       detector.ingest(flow(spoofed_src(), i / 10, 1, 10 + i), sink);
@@ -237,12 +217,12 @@ TEST(StreamingDegraded, PathologicalMemberScanStaysBounded) {
 }
 
 TEST(StreamingDegraded, FlushDrainsBufferedAlerts) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   StreamingParams params;
   params.min_spoofed_packets = 5;
   params.min_share = 0.01;
   params.reorder_skew_seconds = 100;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(*fx.plane, 0, params);
   std::vector<SpoofingAlert> alerts;
   const auto sink = [&](const SpoofingAlert& a) { alerts.push_back(a); };
   for (std::uint32_t ts = 0; ts < 10; ++ts) {
@@ -260,11 +240,11 @@ TEST(StreamingDegraded, FlushDrainsBufferedAlerts) {
 TEST(StreamingDegraded, DefaultParamsPreserveHistoricalBehaviour) {
   // skew 0 and unbounded caps: a sorted stream must see zero degradation
   // events of any kind.
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   StreamingParams params;
   params.min_spoofed_packets = 20;
   params.min_share = 0.1;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(*fx.plane, 0, params);
   std::vector<net::FlowRecord> flows;
   for (std::uint32_t i = 0; i < 1000; ++i) {
     flows.push_back(flow(i % 3 == 0 ? spoofed_src() : valid_src(), i, 2));

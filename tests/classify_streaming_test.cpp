@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "detector_fixture.hpp"
 #include "net/prefix.hpp"
 #include "scenario/scenario.hpp"
 
@@ -10,26 +11,6 @@ namespace {
 
 using net::Ipv4Addr;
 using net::pfx;
-
-/// Routing view with 50.0/16 valid for member 1.
-struct Fixture {
-  Fixture() {
-    bgp::RoutingTableBuilder b;
-    b.ingest_route(pfx("50.0.0.0/16"), bgp::AsPath{1});
-    b.ingest_route(pfx("60.0.0.0/16"), bgp::AsPath{2});
-    table = b.build();
-    trie::IntervalSet s;
-    s.add(pfx("50.0.0.0/16"));
-    std::unordered_map<Asn, trie::IntervalSet> spaces;
-    spaces.emplace(1, std::move(s));
-    classifier = std::make_unique<Classifier>(
-        table, std::vector<inference::ValidSpace>{
-                   inference::ValidSpace(inference::Method::kFullCone,
-                                         std::move(spaces))});
-  }
-  bgp::RoutingTable table;
-  std::unique_ptr<Classifier> classifier;
-};
 
 net::FlowRecord flow(Ipv4Addr src, std::uint32_t ts, std::uint32_t pkts = 1) {
   net::FlowRecord f;
@@ -43,8 +24,8 @@ net::FlowRecord flow(Ipv4Addr src, std::uint32_t ts, std::uint32_t pkts = 1) {
 }
 
 TEST(Streaming, NoAlertOnCleanTraffic) {
-  Fixture fx;
-  StreamingDetector detector(*fx.classifier, 0);
+  const auto& fx = testing::detector_fixture();
+  StreamingDetector detector(*fx.plane, 0);
   std::vector<SpoofingAlert> alerts;
   for (int i = 0; i < 1000; ++i) {
     detector.ingest(flow(Ipv4Addr::from_octets(50, 0, 1, 1), i * 10, 10),
@@ -55,11 +36,11 @@ TEST(Streaming, NoAlertOnCleanTraffic) {
 }
 
 TEST(Streaming, AlertsOnSpoofedBurst) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   StreamingParams params;
   params.min_spoofed_packets = 20;
   params.min_share = 0.1;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(*fx.plane, 0, params);
 
   std::vector<net::FlowRecord> flows;
   // Background valid traffic...
@@ -81,12 +62,12 @@ TEST(Streaming, AlertsOnSpoofedBurst) {
 }
 
 TEST(Streaming, CooldownSuppressesRepeatAlerts) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   StreamingParams params;
   params.min_spoofed_packets = 5;
   params.min_share = 0.01;
   params.cooldown_seconds = 100000;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(*fx.plane, 0, params);
   std::vector<net::FlowRecord> flows;
   for (int i = 0; i < 500; ++i) {
     flows.push_back(flow(Ipv4Addr::from_octets(99, 0, 0, 1), i * 10, 1));
@@ -96,12 +77,12 @@ TEST(Streaming, CooldownSuppressesRepeatAlerts) {
 }
 
 TEST(Streaming, WindowEvictionForgetsOldSpoofing) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   StreamingParams params;
   params.window_seconds = 100;
   params.min_spoofed_packets = 30;
   params.min_share = 0.5;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(*fx.plane, 0, params);
   std::vector<net::FlowRecord> flows;
   // 20 spoofed packets early, 20 late — never 30 within one window.
   for (int i = 0; i < 20; ++i) {
@@ -116,12 +97,12 @@ TEST(Streaming, WindowEvictionForgetsOldSpoofing) {
 TEST(Streaming, SampleExactlyAtWindowBoundaryStillCounts) {
   // Eviction drops samples with ts < (now - window): a sample exactly
   // window seconds old is still inside the (inclusive) window.
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   StreamingParams params;
   params.window_seconds = 100;
   params.min_spoofed_packets = 30;
   params.min_share = 0.01;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(*fx.plane, 0, params);
   std::vector<SpoofingAlert> alerts;
   const auto sink = [&](const SpoofingAlert& a) { alerts.push_back(a); };
   // 20 spoofed packets at ts=0: below threshold on their own.
@@ -137,12 +118,12 @@ TEST(Streaming, SampleExactlyAtWindowBoundaryStillCounts) {
 
 TEST(Streaming, SampleOneSecondPastWindowIsEvicted) {
   // Same traffic shifted by one second: the early burst falls out.
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   StreamingParams params;
   params.window_seconds = 100;
   params.min_spoofed_packets = 30;
   params.min_share = 0.01;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(*fx.plane, 0, params);
   std::vector<SpoofingAlert> alerts;
   const auto sink = [&](const SpoofingAlert& a) { alerts.push_back(a); };
   detector.ingest(flow(Ipv4Addr::from_octets(99, 0, 0, 1), 0, 20), sink);
@@ -151,13 +132,13 @@ TEST(Streaming, SampleOneSecondPastWindowIsEvicted) {
 }
 
 TEST(Streaming, ReAlertsAfterCooldownExpires) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   StreamingParams params;
   params.window_seconds = 3600;
   params.min_spoofed_packets = 5;
   params.min_share = 0.01;
   params.cooldown_seconds = 1000;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(*fx.plane, 0, params);
   std::vector<net::FlowRecord> flows;
   for (std::uint32_t ts = 0; ts < 2100; ts += 10) {
     flows.push_back(flow(Ipv4Addr::from_octets(99, 0, 0, 1), ts, 1));
@@ -177,11 +158,11 @@ TEST(Streaming, ReAlertsAfterCooldownExpires) {
 TEST(Streaming, FullySpoofedMemberAlertsAtThreshold) {
   // A member whose traffic is 100% spoofed from its very first flow:
   // the alert fires as soon as the packet threshold is met, at share 1.
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   StreamingParams params;
   params.min_spoofed_packets = 5;
   params.min_share = 0.05;
-  StreamingDetector detector(*fx.classifier, 0, params);
+  StreamingDetector detector(*fx.plane, 0, params);
   std::vector<net::FlowRecord> flows;
   for (std::uint32_t ts = 0; ts < 10; ++ts) {
     flows.push_back(flow(Ipv4Addr::from_octets(99, 0, 0, 1), ts, 1));
@@ -201,9 +182,10 @@ TEST(Streaming, DetectsAttacksInScenario) {
   StreamingParams sp;
   sp.min_spoofed_packets = 30;
   sp.min_share = 0.02;
+  const auto plane = FlatClassifier::compile(world->classifier());
   StreamingDetector detector(
-      world->classifier(),
-      scenario::Scenario::space_index(inference::Method::kFullConeOrg), sp);
+      plane, scenario::Scenario::space_index(inference::Method::kFullConeOrg),
+      sp);
   const auto alerts = detector.run(world->trace().flows);
   // The workload contains flood/amplification bursts; some members must
   // trip the detector, but not the majority (it is not a false-alarm

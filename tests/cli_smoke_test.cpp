@@ -1,7 +1,9 @@
 // End-to-end CLI smoke test: drives the real `spoofscope` binary through
-// generate -> classify -> report on a temp directory, on both engines,
-// and checks the robustness surface (flag validation, strict vs skip on
-// a corrupted trace, output-stream failure).
+// generate -> classify -> report on a temp directory, checks its per-flow
+// labels (computed on the compiled flat plane) against the trie
+// Classifier in-process, and checks the robustness surface (flag
+// validation, strict vs skip on a corrupted trace, output-stream
+// failure).
 //
 // SPOOFSCOPE_CLI_BIN is injected by CMake as the built binary's path.
 #include <gtest/gtest.h>
@@ -16,11 +18,19 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bgp/mrt_lite.hpp"
+#include "classify/pipeline.hpp"
+#include "data/rpsl.hpp"
+#include "inference/builder.hpp"
+
 namespace {
+
+using namespace spoofscope;
 
 namespace fs = std::filesystem;
 
@@ -81,6 +91,51 @@ CliWorld& cli_world() {
   return w;
 }
 
+/// The label CSV `classify --labels` should write, computed in-process
+/// by the trie Classifier over the same inputs: the CLI's routing view,
+/// FULL+org valid spaces for the trace's members and (with `rpsl`) the
+/// provider-assigned whitelist, but no compiled plane.
+std::string trie_label_csv(const CliWorld& w, bool rpsl) {
+  bgp::RoutingTableBuilder builder;
+  {
+    std::ifstream in(w.mrt());
+    builder.ingest(bgp::read_mrt(in));
+  }
+  const bgp::RoutingTable table = builder.build();
+  std::ifstream tin(w.trace(), std::ios::binary);
+  const net::Trace trace = net::read_trace(tin);
+  std::set<net::Asn> member_set;
+  for (const auto& f : trace.flows) member_set.insert(f.member_in);
+  const std::vector<net::Asn> members(member_set.begin(), member_set.end());
+
+  const inference::ValidSpaceFactory factory(table, asgraph::OrgMap{});
+  std::vector<inference::ValidSpace> spaces;
+  spaces.push_back(factory.build(inference::Method::kFullConeOrg, members));
+  classify::Classifier trie(table, std::move(spaces));
+  if (rpsl) {
+    std::ifstream rin(w.rpsl());
+    const auto whois = data::registry_from_rpsl(data::parse_rpsl(rin));
+    for (const net::Asn m : members) {
+      const auto extra = whois.provider_assigned_of(m);
+      if (!extra.empty()) {
+        trie.mutable_space(0).extend(m,
+                                     trie::IntervalSet::from_prefixes(extra));
+      }
+    }
+  }
+  const auto labels = classify::classify_trace(trie, trace.flows);
+  std::ostringstream csv;
+  csv << "ts,src,dst,member,class\n";
+  for (std::size_t i = 0; i < trace.flows.size(); ++i) {
+    const auto& f = trace.flows[i];
+    csv << f.ts << ',' << f.src.str() << ',' << f.dst.str() << ','
+        << f.member_in << ','
+        << classify::class_name(classify::Classifier::unpack(labels[i], 0))
+        << '\n';
+  }
+  return csv.str();
+}
+
 TEST(CliSmoke, GenerateWritesAllArtifacts) {
   auto& w = cli_world();
   ASSERT_TRUE(w.generated);
@@ -92,40 +147,81 @@ TEST(CliSmoke, GenerateWritesAllArtifacts) {
 }
 
 TEST(CliSmoke, ClassifyProducesIdenticalLabelsOnBothEngines) {
+  // The CLI classifies on the flat plane; the trie oracle runs here.
   auto& w = cli_world();
   ASSERT_TRUE(w.generated);
-  const fs::path trie_csv = w.root / "labels-trie.csv";
-  const fs::path flat_csv = w.root / "labels-flat.csv";
+  const fs::path plain_csv = w.root / "labels-plain.csv";
+  const fs::path flag_csv = w.root / "labels-engine-flat.csv";
 
-  const auto trie = run_cli("classify --mrt " + w.mrt() + " --trace " +
-                                w.trace() + " --labels " + trie_csv.string(),
-                            w.log);
-  ASSERT_EQ(trie.exit_code, 0) << trie.output;
-  EXPECT_NE(trie.output.find("classified"), std::string::npos);
+  const auto plain = run_cli("classify --mrt " + w.mrt() + " --trace " +
+                                 w.trace() + " --labels " + plain_csv.string(),
+                             w.log);
+  ASSERT_EQ(plain.exit_code, 0) << plain.output;
+  EXPECT_NE(plain.output.find("classified"), std::string::npos);
 
-  const auto flat = run_cli("classify --mrt " + w.mrt() + " --trace " +
-                                w.trace() + " --labels " + flat_csv.string() +
+  // --engine flat is accepted and changes nothing.
+  const auto flag = run_cli("classify --mrt " + w.mrt() + " --trace " +
+                                w.trace() + " --labels " + flag_csv.string() +
                                 " --engine flat --threads 0",
                             w.log);
-  ASSERT_EQ(flat.exit_code, 0) << flat.output;
+  ASSERT_EQ(flag.exit_code, 0) << flag.output;
 
-  const std::string a = slurp(trie_csv);
-  const std::string b = slurp(flat_csv);
+  const std::string a = slurp(plain_csv);
   ASSERT_GT(a.size(), 100u);
   EXPECT_EQ(a.substr(0, 24), "ts,src,dst,member,class\n");
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(a, slurp(flag_csv));
+  EXPECT_EQ(a, trie_label_csv(w, /*rpsl=*/false));
 }
 
 TEST(CliSmoke, ReportRunsEndToEndOnBothEngines) {
+  // report's labels (flat plane, RPSL whitelist applied) equal the trie's.
   auto& w = cli_world();
   ASSERT_TRUE(w.generated);
-  for (const std::string engine : {"trie", "flat"}) {
-    const auto r = run_cli("report --mrt " + w.mrt() + " --trace " +
-                               w.trace() + " --rpsl " + w.rpsl() +
-                               " --engine " + engine,
-                           w.log);
-    ASSERT_EQ(r.exit_code, 0) << r.output;
-    EXPECT_NE(r.output.find("NTP amplification"), std::string::npos) << engine;
+  const fs::path csv = w.root / "labels-report.csv";
+  const auto r = run_cli("report --mrt " + w.mrt() + " --trace " + w.trace() +
+                             " --rpsl " + w.rpsl() + " --labels " +
+                             csv.string(),
+                         w.log);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("NTP amplification"), std::string::npos);
+  EXPECT_EQ(slurp(csv), trie_label_csv(w, /*rpsl=*/true));
+}
+
+TEST(CliSmoke, UnknownFlagsAreRejected) {
+  auto& w = cli_world();
+  ASSERT_TRUE(w.generated);
+  const std::string inputs = " --mrt " + w.mrt() + " --trace " + w.trace();
+  const struct {
+    std::string args;
+    std::string message;
+  } cases[] = {
+      {"classify" + inputs + " --thread 4", "unknown flag for classify: --thread"},
+      {"detect" + inputs + " --windows 60", "unknown flag for detect: --windows"},
+      {"report" + inputs + " --socket x", "unknown flag for report: --socket"},
+      {"generate --out " + (w.root / "g").string() + " --mrt x",
+       "unknown flag for generate: --mrt"},
+  };
+  for (const auto& c : cases) {
+    const auto r = run_cli(c.args, w.log);
+    EXPECT_EQ(r.exit_code, 2) << c.args << "\n" << r.output;
+    EXPECT_NE(r.output.find(c.message), std::string::npos)
+        << c.args << "\n" << r.output;
+  }
+}
+
+TEST(CliSmoke, RemovedEngineAndSimdFlagsAreRejected) {
+  auto& w = cli_world();
+  ASSERT_TRUE(w.generated);
+  const std::string inputs = " --mrt " + w.mrt() + " --trace " + w.trace();
+  for (const std::string cmd : {"classify", "report", "detect"}) {
+    const auto trie = run_cli(cmd + inputs + " --engine trie", w.log);
+    EXPECT_EQ(trie.exit_code, 2) << cmd << "\n" << trie.output;
+    EXPECT_NE(trie.output.find("--engine trie was removed"), std::string::npos)
+        << cmd << "\n" << trie.output;
+    const auto simd = run_cli(cmd + inputs + " --simd scalar", w.log);
+    EXPECT_EQ(simd.exit_code, 2) << cmd << "\n" << simd.output;
+    EXPECT_NE(simd.output.find("--simd was removed"), std::string::npos)
+        << cmd << "\n" << simd.output;
   }
 }
 
@@ -214,50 +310,24 @@ TEST(CliSmoke, DetectEmitsHealthInStatsJson) {
   auto& w = cli_world();
   ASSERT_TRUE(w.generated);
   const fs::path json_path = w.root / "detect-stats.json";
-  for (const std::string engine : {"trie", "flat"}) {
-    const auto r = run_cli("detect --mrt " + w.mrt() + " --trace " +
-                               w.trace() + " --engine " + engine +
-                               " --window 1800 --skew 60 --stats-json " +
-                               json_path.string(),
-                           w.log);
-    ASSERT_EQ(r.exit_code, 0) << r.output;
-    EXPECT_NE(r.output.find("detect:"), std::string::npos) << engine;
-    EXPECT_NE(r.output.find("health:"), std::string::npos) << engine;
+  const auto r = run_cli("detect --mrt " + w.mrt() + " --trace " + w.trace() +
+                             " --window 1800 --skew 60 --stats-json " +
+                             json_path.string(),
+                         w.log);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("detect:"), std::string::npos);
+  EXPECT_NE(r.output.find("health:"), std::string::npos);
 
-    const std::string json = slurp(json_path);
-    EXPECT_NE(json.find("\"sources\":["), std::string::npos) << engine;
-    EXPECT_NE(json.find("\"detector\":{"), std::string::npos) << engine;
-    for (const std::string key :
-         {"\"regressions\":", "\"late_drops\":", "\"forced_releases\":",
-          "\"member_evictions\":", "\"sample_evictions\":",
-          "\"reorder_depth\":", "\"max_reorder_depth\":",
-          "\"tracked_members\":", "\"max_window_depth\":"}) {
-      EXPECT_NE(json.find(key), std::string::npos) << engine << " " << key;
-    }
+  const std::string json = slurp(json_path);
+  EXPECT_NE(json.find("\"sources\":["), std::string::npos);
+  EXPECT_NE(json.find("\"detector\":{"), std::string::npos);
+  for (const std::string key :
+       {"\"regressions\":", "\"late_drops\":", "\"forced_releases\":",
+        "\"member_evictions\":", "\"sample_evictions\":",
+        "\"reorder_depth\":", "\"max_reorder_depth\":",
+        "\"tracked_members\":", "\"max_window_depth\":"}) {
+    EXPECT_NE(json.find(key), std::string::npos) << key;
   }
-}
-
-TEST(CliSmoke, DetectAlertsIdenticalOnBothEngines) {
-  auto& w = cli_world();
-  ASSERT_TRUE(w.generated);
-  std::string alerts[2];
-  int i = 0;
-  for (const std::string engine : {"trie", "flat"}) {
-    const auto r = run_cli("detect --mrt " + w.mrt() + " --trace " +
-                               w.trace() + " --engine " + engine +
-                               " --window 1800",
-                           w.log);
-    ASSERT_EQ(r.exit_code, 0) << r.output;
-    // Keep only the alert lines: engine name differs in the summary.
-    std::istringstream lines(r.output);
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (line.rfind("alert:", 0) == 0) alerts[i] += line + "\n";
-    }
-    ++i;
-  }
-  EXPECT_FALSE(alerts[0].empty());
-  EXPECT_EQ(alerts[0], alerts[1]);
 }
 
 /// First line of `out` starting with `prefix` (empty if none).
@@ -332,16 +402,22 @@ TEST(CliSmoke, CheckpointEveryRejectsNonPositiveValues) {
   EXPECT_FALSE(fs::exists(ckpt));
 }
 
-TEST(CliSmoke, UpdatesFlagRequiresFlatEngine) {
+TEST(CliSmoke, UpdatesFlagWorksWithoutEngineFlag) {
   auto& w = cli_world();
   ASSERT_TRUE(w.generated);
+  const fs::path updates = w.root / "churn.mrt";
+  {
+    std::ofstream out(updates);
+    out << "UPDATE|W|100|102|19.96.0.0/16\n"
+        << "UPDATE|A|200|102|19.96.0.0/16|102\n";
+  }
   const auto r = run_cli("detect --mrt " + w.mrt() + " --trace " + w.trace() +
-                             " --updates " + w.mrt(),
+                             " --updates " + updates.string(),
                          w.log);
-  EXPECT_NE(r.exit_code, 0);
-  EXPECT_NE(r.output.find("--updates requires --engine flat"),
-            std::string::npos)
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("updates: 2 route updates from"), std::string::npos)
       << r.output;
+  EXPECT_NE(r.output.find("detect:"), std::string::npos) << r.output;
 }
 
 TEST(CliSmoke, DeltaCheckpointChainResumesLikeAFullOne) {
@@ -436,15 +512,15 @@ TEST(CliSmoke, PlaneCacheMissThenHitProducesIdenticalLabels) {
   EXPECT_EQ(a, b);
 }
 
-TEST(CliSmoke, PlaneCacheRequiresFlatEngine) {
+TEST(CliSmoke, PlaneCacheWorksWithoutEngineFlag) {
   auto& w = cli_world();
   ASSERT_TRUE(w.generated);
   const auto r = run_cli("classify --mrt " + w.mrt() + " --trace " +
                              w.trace() + " --plane-cache " +
                              (w.root / "pc").string(),
                          w.log);
-  EXPECT_EQ(r.exit_code, 2);
-  EXPECT_NE(r.output.find("--plane-cache requires --engine flat"),
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("plane-cache: miss (compiled and stored)"),
             std::string::npos)
       << r.output;
 }

@@ -7,9 +7,8 @@
 //    because both drive the same format::RecordScanner;
 //  - batch-boundary edges: batch size 1, batch larger than the trace,
 //    empty trace, empty file;
-//  - v1 streams (no record checksums): strict round-trip, and the
-//    skip-mode plausibility resync that lets a damaged v1 stream recover
-//    its tail instead of swallowing it.
+//  - a v1 header (the retired checksum-less format) is refused by both
+//    readers.
 #include "net/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -59,27 +58,6 @@ std::string make_trace_bytes(std::size_t flows, std::uint64_t seed) {
   std::stringstream ss;
   write_trace(ss, t);
   return ss.str();
-}
-
-/// Hand-built v1 stream (write_trace only emits v2): 32-byte header
-/// without checksum, then bare 36-byte records. Every record the helper
-/// emits satisfies plausible_v1_record by construction (known protocol,
-/// non-zero counts, ts within the declared window).
-std::string make_v1_bytes(const std::vector<FlowRecord>& flows) {
-  std::string out(format::kHeaderSizeV1, '\0');
-  auto* h = reinterpret_cast<std::uint8_t*>(out.data());
-  format::put_u32(h + 0, format::kMagic);
-  format::put_u32(h + 4, format::kVersionV1);
-  format::put_u32(h + 8, 1000);        // sampling_rate
-  format::put_u32(h + 12, kFourWeeks); // window_seconds
-  format::put_u64(h + 16, 42);         // seed
-  format::put_u64(h + 24, flows.size());
-  for (const auto& f : flows) {
-    std::uint8_t rec[format::kRecordSizeV1];
-    format::encode_record(f, rec);
-    out.append(reinterpret_cast<const char*>(rec), sizeof(rec));
-  }
-  return out;
 }
 
 struct ReadResult {
@@ -397,90 +375,28 @@ TEST(TraceBatch, MappedTraceMissingFileThrows) {
                std::runtime_error);
 }
 
-// -------------------------------------------------------------- v1 format
+// ------------------------------------------------------------- versions
 
-TEST(TraceBatchV1, CleanV1StreamAllPathsAgree) {
-  util::Rng rng(21);
-  std::vector<FlowRecord> flows;
-  for (int i = 0; i < 400; ++i) flows.push_back(make_flow(rng));
-  const std::string bytes = make_v1_bytes(flows);
-  for (const auto policy :
-       {util::ErrorPolicy::kStrict, util::ErrorPolicy::kSkip}) {
-    expect_paths_agree(bytes, policy, 4242, "clean-v1");
+TEST(TraceBatch, VersionOneHeaderIsRefusedByBothReaders) {
+  // Only v2 is readable: a v1 header (no checksums) is refused up front
+  // by every path instead of being decoded record by record.
+  std::string bytes = make_trace_bytes(50, 31);
+  format::put_u32(reinterpret_cast<std::uint8_t*>(bytes.data()) + 4, 1);
+  for (const Path path : kPaths) {
+    util::Rng rng(0);
+    const ReadResult strict =
+        read_all(bytes, path, util::ErrorPolicy::kStrict, rng);
+    EXPECT_NE(strict.error.find("unsupported version"), std::string::npos)
+        << path_name(path) << ": " << strict.error;
+    EXPECT_TRUE(strict.records.empty()) << path_name(path);
+
+    const ReadResult skip = read_all(bytes, path, util::ErrorPolicy::kSkip, rng);
+    EXPECT_TRUE(skip.error.empty()) << path_name(path) << ": " << skip.error;
+    EXPECT_TRUE(skip.records.empty()) << path_name(path);
+    EXPECT_EQ(
+        skip.stats.errors[static_cast<int>(util::ErrorKind::kBadVersion)], 1u)
+        << path_name(path);
   }
-  util::Rng read_rng(0);
-  const auto r =
-      read_all(bytes, Path::kMappedBatch, util::ErrorPolicy::kStrict, read_rng);
-  ASSERT_EQ(r.records.size(), flows.size());
-  EXPECT_EQ(r.records, flows);
-}
-
-TEST(TraceBatchV1, ImplausibleRecordIsSkippedAndTailRecovered) {
-  util::Rng rng(22);
-  std::vector<FlowRecord> flows;
-  for (int i = 0; i < 60; ++i) flows.push_back(make_flow(rng));
-  std::string bytes = make_v1_bytes(flows);
-  // Damage record 20's reserved byte: the plausibility validator rejects
-  // it, the resync slides to record 21, and the tail survives.
-  const std::size_t at =
-      format::kHeaderSizeV1 + 20 * format::kRecordSizeV1 + 13;
-  bytes[at] = static_cast<char>(0xff);
-
-  util::Rng read_rng(5);
-  const auto r =
-      read_all(bytes, Path::kMappedBatch, util::ErrorPolicy::kSkip, read_rng);
-  ASSERT_TRUE(r.error.empty());
-  ASSERT_EQ(r.records.size(), flows.size() - 1);
-  for (std::size_t i = 0; i < 20; ++i) EXPECT_EQ(r.records[i], flows[i]);
-  for (std::size_t i = 20; i < r.records.size(); ++i) {
-    EXPECT_EQ(r.records[i], flows[i + 1]);
-  }
-  EXPECT_EQ(r.stats.errors[static_cast<int>(util::ErrorKind::kParse)], 1u);
-  EXPECT_EQ(r.stats.records_skipped, 1u);
-  // All read paths agree on the damaged stream too.
-  expect_paths_agree(bytes, util::ErrorPolicy::kSkip, 888, "v1-implausible");
-}
-
-TEST(TraceBatchV1, CorruptedV1FuzzAllPathsAgree) {
-  for (const std::uint64_t seed : {5u, 15u, 25u}) {
-    util::Rng rng(seed);
-    std::vector<FlowRecord> flows;
-    for (int i = 0; i < 200; ++i) flows.push_back(make_flow(rng));
-    const std::string clean = make_v1_bytes(flows);
-    util::Rng corrupt_rng(seed ^ 0x5eed);
-    const std::string kinds[] = {
-        testing::truncate_bytes(clean, corrupt_rng, format::kHeaderSizeV1),
-        testing::splice_garbage(clean, corrupt_rng, format::kHeaderSizeV1, 64),
-        testing::drop_fixed_record(clean, corrupt_rng, format::kHeaderSizeV1,
-                                   format::kRecordSizeV1),
-    };
-    for (const auto& bad : kinds) {
-      for (const auto policy :
-           {util::ErrorPolicy::kStrict, util::ErrorPolicy::kSkip}) {
-        expect_paths_agree(bad, policy, seed * 31,
-                           "v1-fuzz seed=" + std::to_string(seed));
-      }
-    }
-  }
-}
-
-TEST(TraceBatchV1, TruncatedV1TailIsAccountedNotFatalInSkipMode) {
-  util::Rng rng(23);
-  std::vector<FlowRecord> flows;
-  for (int i = 0; i < 30; ++i) flows.push_back(make_flow(rng));
-  std::string bytes = make_v1_bytes(flows);
-  bytes.resize(bytes.size() - 10);  // cut into the last record
-
-  util::Rng read_rng(0);
-  const auto skip =
-      read_all(bytes, Path::kStreamBatch, util::ErrorPolicy::kSkip, read_rng);
-  ASSERT_TRUE(skip.error.empty());
-  EXPECT_EQ(skip.records.size(), flows.size() - 1);
-  EXPECT_EQ(skip.stats.errors[static_cast<int>(util::ErrorKind::kTruncated)],
-            1u);
-  const auto strict =
-      read_all(bytes, Path::kStreamBatch, util::ErrorPolicy::kStrict, read_rng);
-  EXPECT_NE(strict.error.find("truncated record"), std::string::npos);
 }
 
 }  // namespace

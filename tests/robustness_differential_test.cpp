@@ -239,11 +239,11 @@ TEST(RobustnessDifferential, SkipModeAlertsMatchCleanRestriction) {
       for (const std::size_t i : *idx) restricted.push_back(w.trace.flows[i]);
       ASSERT_EQ(restricted, got.flows);
 
-      // Clean restriction through the trie engine vs survivors through
-      // the flat engine: identical alert streams.
-      classify::StreamingDetector trie(w.world->classifier(), space, sp);
-      classify::StreamingDetector flat(*w.flat, space, sp);
-      EXPECT_EQ(trie.run(restricted), flat.run(got.flows));
+      // Clean restriction vs survivors of the damaged stream: identical
+      // alert streams.
+      classify::StreamingDetector clean(*w.flat, space, sp);
+      classify::StreamingDetector survivors(*w.flat, space, sp);
+      EXPECT_EQ(clean.run(restricted), survivors.run(got.flows));
     }
   }
 }

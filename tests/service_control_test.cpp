@@ -1,18 +1,32 @@
 // Units for the service plane's deterministic pieces: the control
 // protocol parser, the member-AS shard routing, the cross-shard health
 // merge and its JSON schema, the shared alert/health formatting, and
-// the per-shard checkpoint naming contract.
+// the per-shard checkpoint naming contract — plus one real socket
+// session pinning the control loop's request-line bound.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
+#include <unistd.h>
 
+#include <chrono>
+#include <cstring>
+#include <exception>
+#include <filesystem>
+#include <memory>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "classify/streaming.hpp"
+#include "detector_fixture.hpp"
 #include "net/flow.hpp"
 #include "net/flow_batch.hpp"
 #include "service/control.hpp"
 #include "service/merge.hpp"
 #include "service/router.hpp"
+#include "service/server.hpp"
 #include "state/delta_chain.hpp"
 
 namespace spoofscope::service {
@@ -235,6 +249,100 @@ TEST(ServiceCheckpoint, ShardBaseNamesEmbedIndexAndCount) {
   // partitions flows differently and must NOT resume these chains.
   EXPECT_NE(state::shard_checkpoint_base("d", 0, 4),
             state::shard_checkpoint_base("d", 0, 8));
+}
+
+// --- control socket -----------------------------------------------------
+
+/// Connects to the control socket, retrying while the loop binds it. Both
+/// directions time out after 5 s, so a daemon that never answers fails
+/// the test instead of hanging it. Returns -1 when no connection came up.
+int connect_control(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const timeval timeout{5, 0};
+  for (int attempt = 0; attempt < 400; ++attempt) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) return -1;
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) == 0) {
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+      return fd;
+    }
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return -1;
+}
+
+/// Sends `text` until done or the peer stops taking bytes.
+void send_text(int fd, const std::string& text) {
+  std::size_t sent = 0;
+  while (sent < text.size()) {
+    const ssize_t n =
+        ::send(fd, text.data() + sent, text.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) return;
+    sent += static_cast<std::size_t>(n);
+  }
+}
+
+/// One response line without its LF; whatever arrived before EOF or the
+/// receive timeout otherwise.
+std::string read_reply(int fd) {
+  std::string line;
+  char c = 0;
+  while (::recv(fd, &c, 1, 0) == 1 && c != '\n') line += c;
+  return line;
+}
+
+TEST(ServiceControlSocket, OverlongRequestLineIsRefusedAndOthersAreServed) {
+  const auto& fx = testing::detector_fixture();
+  Server server(std::make_shared<classify::FlatClassifier>(
+                    classify::FlatClassifier::compile(*fx.classifier)),
+                ServerConfig{});
+  server.start();
+  const std::string sock =
+      (std::filesystem::temp_directory_path() /
+       ("spoofscope-ctl-" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  std::ostringstream log;
+  std::exception_ptr loop_error;
+  std::thread loop([&] {
+    try {
+      run_control_loop(server, sock, log);
+    } catch (...) {
+      loop_error = std::current_exception();
+    }
+  });
+
+  // 1 MiB without a LF: answered with an error, then disconnected.
+  const int flood = connect_control(sock);
+  EXPECT_GE(flood, 0);
+  if (flood >= 0) {
+    send_text(flood, std::string(std::size_t{1} << 20, 'a'));
+    EXPECT_EQ(read_reply(flood), "err request line too long");
+    ::close(flood);
+  }
+
+  // The loop still serves the next client, and shuts down cleanly.
+  const int client = connect_control(sock);
+  if (client < 0) {
+    loop.join();  // nothing listens any more: the loop has already exited
+    FAIL() << "control loop stopped accepting clients";
+  }
+  send_text(client, "health\n");
+  std::string reply;
+  do {
+    reply = read_reply(client);
+  } while (!reply.empty() && reply.rfind("ok", 0) != 0 &&
+           reply.rfind("err", 0) != 0);
+  EXPECT_EQ(reply, "ok shards=1 processed=0 alerts=0");
+  send_text(client, "shutdown\n");
+  EXPECT_EQ(read_reply(client), "ok shutting-down");
+  ::close(client);
+  loop.join();
+  EXPECT_FALSE(loop_error);
 }
 
 }  // namespace

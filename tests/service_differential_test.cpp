@@ -1,8 +1,9 @@
 // Shard-routing determinism differential (ISSUE satellite): the sharded
 // resident server must produce BIT-IDENTICAL verdicts to the one-shot
 // StreamingDetector over the same trace — across shard counts {1, 2, 7},
-// seeds, both engines (trie and flat), both SIMD kernel choices, and
-// segmented vs whole-trace submission.
+// seeds, and segmented vs whole-trace submission. (The batch kernel is
+// whatever SimdKernel::kAuto resolves to; tools/check.sh runs this suite
+// with SPOOFSCOPE_SIMD=auto and =scalar.)
 //
 // Why this holds (the decomposition argument DESIGN.md §16 spells out):
 // window accounting is per-member, routing partitions members across
@@ -20,7 +21,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -42,7 +42,6 @@ namespace fs = std::filesystem;
 using classify::Classifier;
 using classify::DetectorHealth;
 using classify::FlatClassifier;
-using classify::SimdKernel;
 using classify::SpoofingAlert;
 using classify::StreamingDetector;
 using classify::StreamingParams;
@@ -55,7 +54,9 @@ constexpr std::size_t kMembers = 10;
 /// Ten-member routing view so shard counts {1, 2, 7} all see traffic on
 /// every shard: member N announces 10.N.0.0/16; members 1..8 own their
 /// announced block as valid space, members 9 and 10 have routed space
-/// but no valid space (their own-source traffic classifies Invalid).
+/// but no valid space (their own-source traffic classifies Invalid). The
+/// plane is compiled once and shared by every server and oracle (none
+/// of these tests patch it).
 struct Fixture {
   Fixture() {
     bgp::RoutingTableBuilder b;
@@ -74,21 +75,28 @@ struct Fixture {
         table, std::vector<inference::ValidSpace>{
                    inference::ValidSpace(inference::Method::kFullCone,
                                          std::move(spaces))});
+    plane = std::make_shared<FlatClassifier>(
+        FlatClassifier::compile(*classifier));
   }
   bgp::RoutingTable table;
   std::unique_ptr<Classifier> classifier;
+  std::shared_ptr<FlatClassifier> plane;
 };
+
+const Fixture& fixture() {
+  static const Fixture fx;
+  return fx;
+}
 
 /// Detection knobs scaled to the synthetic stream (the one-shot oracle
 /// and the server always get the same instance).
-StreamingParams detect_params(std::uint32_t skew, SimdKernel simd) {
+StreamingParams detect_params(std::uint32_t skew) {
   StreamingParams p;
   p.window_seconds = 300;
   p.min_spoofed_packets = 20;
   p.min_share = 0.1;
   p.cooldown_seconds = 120;
   p.reorder_skew_seconds = skew;
-  p.simd = simd;
   return p;
 }
 
@@ -134,10 +142,10 @@ struct RunResult {
 };
 
 /// One-shot oracle: exactly what `spoofscope detect` computes.
-template <typename MakeDetector>
-RunResult oracle(MakeDetector make, std::span<const net::FlowRecord> flows) {
+RunResult oracle(const Fixture& fx, const StreamingParams& params,
+                 std::span<const net::FlowRecord> flows) {
   RunResult r;
-  StreamingDetector d = make();
+  StreamingDetector d(*fx.plane, 0, params);
   r.alerts = d.run(flows);
   r.health = d.health();
   r.processed = d.processed();
@@ -172,79 +180,54 @@ std::string write_segment(const ScratchDir& dir, const std::string& name,
   return path;
 }
 
-enum class Engine { kTrie, kFlat };
-
 /// Spins up an in-process server, submits the segment files, drains and
 /// collapses the merged view into the oracle's shape.
-RunResult run_server(const Fixture& fx, Engine engine, std::size_t shards,
+RunResult run_server(const Fixture& fx, std::size_t shards,
                      const StreamingParams& params,
                      const std::vector<std::string>& segments) {
   ServerConfig cfg;
   cfg.shards = shards;
   cfg.params = params;
-  std::optional<Server> server;
-  if (engine == Engine::kFlat) {
-    server.emplace(
-        std::make_shared<FlatClassifier>(FlatClassifier::compile(*fx.classifier)),
-        cfg);
-  } else {
-    server.emplace(*fx.classifier, cfg);
-  }
-  server->start();
-  for (const std::string& path : segments) server->submit(path);
-  server->drain();
-  const ServiceStats stats = server->stats();
+  Server server(fx.plane, cfg);
+  server.start();
+  for (const std::string& path : segments) server.submit(path);
+  server.drain();
+  const ServiceStats stats = server.stats();
   RunResult r;
-  r.alerts = server->merged_alerts();
+  r.alerts = server.merged_alerts();
   r.health = stats.merged;
   r.processed = stats.processed;
-  server->stop();
+  server.stop();
   return r;
 }
 
 TEST(ServiceDifferential, ShardedServeIsBitIdenticalToOneShotDetect) {
-  Fixture fx;
+  const Fixture& fx = fixture();
   ScratchDir dir("spoofscope_serve_diff");
-  const FlatClassifier flat = FlatClassifier::compile(*fx.classifier);
-  const struct {
-    Engine engine;
-    SimdKernel simd;
-    const char* tag;
-  } variants[] = {
-      {Engine::kTrie, SimdKernel::kAuto, "trie"},
-      {Engine::kFlat, SimdKernel::kAuto, "flat/auto"},
-      {Engine::kFlat, SimdKernel::kScalar, "flat/scalar"},
-  };
+  const auto params = detect_params(0);
   for (const std::uint64_t seed : {5u, 6u}) {
     const auto flows = make_stream(seed, 4000, 0);
     const std::string trace =
         write_segment(dir, "whole-" + std::to_string(seed) + ".trace", flows);
-    for (const auto& v : variants) {
-      const auto params = detect_params(0, v.simd);
-      const RunResult expect =
-          v.engine == Engine::kFlat
-              ? oracle([&] { return StreamingDetector(flat, 0, params); }, flows)
-              : oracle([&] { return StreamingDetector(*fx.classifier, 0, params); },
-                       flows);
-      ASSERT_FALSE(expect.alerts.empty())
-          << "seed " << seed << " raised no alerts — differential is vacuous";
-      for (const std::size_t shards : {1u, 2u, 7u}) {
-        const RunResult got = run_server(fx, v.engine, shards, params, {trace});
-        EXPECT_EQ(got.alerts, expect.alerts)
-            << v.tag << " shards=" << shards << " seed=" << seed;
-        EXPECT_EQ(got.health, expect.health)
-            << v.tag << " shards=" << shards << " seed=" << seed;
-        EXPECT_EQ(got.processed, expect.processed);
-      }
+    const RunResult expect = oracle(fx, params, flows);
+    ASSERT_FALSE(expect.alerts.empty())
+        << "seed " << seed << " raised no alerts — differential is vacuous";
+    for (const std::size_t shards : {1u, 2u, 7u}) {
+      const RunResult got = run_server(fx, shards, params, {trace});
+      EXPECT_EQ(got.alerts, expect.alerts)
+          << "shards=" << shards << " seed=" << seed;
+      EXPECT_EQ(got.health, expect.health)
+          << "shards=" << shards << " seed=" << seed;
+      EXPECT_EQ(got.processed, expect.processed);
     }
   }
 }
 
 TEST(ServiceDifferential, SegmentedSubmitEqualsWholeTrace) {
-  Fixture fx;
+  const Fixture& fx = fixture();
   ScratchDir dir("spoofscope_serve_seg");
   const auto flows = make_stream(5, 4000, 0);
-  const auto params = detect_params(0, SimdKernel::kAuto);
+  const auto params = detect_params(0);
   const std::string whole = write_segment(dir, "whole.trace", flows);
   std::vector<std::string> segments;
   const std::size_t cut1 = flows.size() / 3;
@@ -256,8 +239,8 @@ TEST(ServiceDifferential, SegmentedSubmitEqualsWholeTrace) {
   segments.push_back(write_segment(
       dir, "seg3.trace", std::span(flows).subspan(cut2)));
   for (const std::size_t shards : {2u, 7u}) {
-    const RunResult one = run_server(fx, Engine::kFlat, shards, params, {whole});
-    const RunResult split = run_server(fx, Engine::kFlat, shards, params, segments);
+    const RunResult one = run_server(fx, shards, params, {whole});
+    const RunResult split = run_server(fx, shards, params, segments);
     EXPECT_EQ(split.alerts, one.alerts) << "shards=" << shards;
     EXPECT_EQ(split.health, one.health) << "shards=" << shards;
     EXPECT_EQ(split.processed, one.processed);
@@ -267,17 +250,15 @@ TEST(ServiceDifferential, SegmentedSubmitEqualsWholeTrace) {
 TEST(ServiceDifferential, SingleShardMatchesOneShotUnderReorderSkew) {
   // One shard is literally the one-shot computation, so equality must
   // hold even with the reorder buffer engaged and late drops occurring.
-  Fixture fx;
+  const Fixture& fx = fixture();
   ScratchDir dir("spoofscope_serve_skew1");
   const auto flows = make_stream(7, 4000, 40);  // jitter can exceed skew
-  const auto params = detect_params(30, SimdKernel::kAuto);
-  const FlatClassifier flat = FlatClassifier::compile(*fx.classifier);
-  const RunResult expect =
-      oracle([&] { return StreamingDetector(flat, 0, params); }, flows);
+  const auto params = detect_params(30);
+  const RunResult expect = oracle(fx, params, flows);
   ASSERT_FALSE(expect.alerts.empty());
   EXPECT_GT(expect.health.late_drops, 0u) << "stream never exercised the skew";
   const std::string trace = write_segment(dir, "jitter.trace", flows);
-  const RunResult got = run_server(fx, Engine::kFlat, 1, params, {trace});
+  const RunResult got = run_server(fx, 1, params, {trace});
   EXPECT_EQ(got.alerts, expect.alerts);
   EXPECT_EQ(got.health, expect.health);
 }
@@ -287,17 +268,15 @@ TEST(ServiceDifferential, ShardingUnderSkewOnInOrderTraceKeepsAlerts) {
   // so per-member release sequences — hence alerts and every health
   // counter except the global reorder-buffer high-water mark — still
   // compose exactly across shards.
-  Fixture fx;
+  const Fixture& fx = fixture();
   ScratchDir dir("spoofscope_serve_skewN");
   const auto flows = make_stream(8, 4000, 0);
-  const auto params = detect_params(30, SimdKernel::kAuto);
-  const FlatClassifier flat = FlatClassifier::compile(*fx.classifier);
-  RunResult expect =
-      oracle([&] { return StreamingDetector(flat, 0, params); }, flows);
+  const auto params = detect_params(30);
+  RunResult expect = oracle(fx, params, flows);
   ASSERT_FALSE(expect.alerts.empty());
   const std::string trace = write_segment(dir, "sorted.trace", flows);
   for (const std::size_t shards : {2u, 7u}) {
-    RunResult got = run_server(fx, Engine::kFlat, shards, params, {trace});
+    RunResult got = run_server(fx, shards, params, {trace});
     EXPECT_EQ(got.alerts, expect.alerts) << "shards=" << shards;
     got.health.max_reorder_depth = 0;
     DetectorHealth want = expect.health;
@@ -309,19 +288,17 @@ TEST(ServiceDifferential, ShardingUnderSkewOnInOrderTraceKeepsAlerts) {
 TEST(ServiceDifferential, InProcessBatchSubmitEqualsFileSubmit) {
   // submit_batch() + barrier() is the path the throughput bench drives;
   // it must see the same verdicts as the socket's file-based submit.
-  Fixture fx;
+  const Fixture& fx = fixture();
   ScratchDir dir("spoofscope_serve_batch");
   const auto flows = make_stream(5, 4000, 0);
-  const auto params = detect_params(0, SimdKernel::kAuto);
+  const auto params = detect_params(0);
   const std::string trace = write_segment(dir, "whole.trace", flows);
-  const RunResult via_file = run_server(fx, Engine::kFlat, 4, params, {trace});
+  const RunResult via_file = run_server(fx, 4, params, {trace});
 
   ServerConfig cfg;
   cfg.shards = 4;
   cfg.params = params;
-  Server server(
-      std::make_shared<FlatClassifier>(FlatClassifier::compile(*fx.classifier)),
-      cfg);
+  Server server(fx.plane, cfg);
   server.start();
   constexpr std::size_t kChunk = 512;
   for (std::size_t off = 0; off < flows.size(); off += kChunk) {

@@ -18,6 +18,7 @@
 
 #include "classify/streaming.hpp"
 #include "corruption.hpp"
+#include "detector_fixture.hpp"
 #include "net/prefix.hpp"
 #include "state/delta_chain.hpp"
 #include "state/snapshot.hpp"
@@ -35,25 +36,6 @@ using classify::StreamingParams;
 using net::Asn;
 using net::Ipv4Addr;
 using net::pfx;
-
-struct Fixture {
-  Fixture() {
-    bgp::RoutingTableBuilder b;
-    b.ingest_route(pfx("50.0.0.0/16"), bgp::AsPath{1});
-    b.ingest_route(pfx("60.0.0.0/16"), bgp::AsPath{2});
-    table = b.build();
-    trie::IntervalSet s;
-    s.add(pfx("50.0.0.0/16"));
-    std::unordered_map<Asn, trie::IntervalSet> spaces;
-    spaces.emplace(1, std::move(s));
-    classifier = std::make_unique<Classifier>(
-        table, std::vector<inference::ValidSpace>{
-                   inference::ValidSpace(inference::Method::kFullCone,
-                                         std::move(spaces))});
-  }
-  bgp::RoutingTable table;
-  std::unique_ptr<Classifier> classifier;
-};
 
 StreamingParams pressured_params() {
   StreamingParams p;
@@ -127,14 +109,14 @@ struct RunResult {
 /// finishing. Captures a final full save so the differential asserts
 /// bit-identity, not just logical equality.
 struct ChainRun {
-  Fixture* fx;
+  const testing::DetectorFixture* fx;
   StreamingParams params;
   std::string base;
   std::string final_ckpt;
 
   RunResult uninterrupted(std::span<const net::FlowRecord> flows) const {
     RunResult r;
-    StreamingDetector d(*fx->classifier, 0, params);
+    StreamingDetector d(*fx->plane, 0, params);
     r.alerts = d.run(flows);
     r.health = d.health();
     d.save(final_ckpt);
@@ -150,7 +132,7 @@ struct ChainRun {
     std::size_t crash_at = 0;
     {
       DeltaChain chain(base);
-      StreamingDetector before(*fx->classifier, 0, params);
+      StreamingDetector before(*fx->plane, 0, params);
       std::size_t next = 0;
       for (std::size_t cut : cuts) {
         for (; next < cut; ++next) before.ingest(flows[next], sink);
@@ -159,7 +141,7 @@ struct ChainRun {
       crash_at = next;
     }  // crash: both detector and chain driver state evaporate
     DeltaChain chain(base);
-    StreamingDetector after(*fx->classifier, 0, params);
+    StreamingDetector after(*fx->plane, 0, params);
     const DeltaResume res = chain.resume(after);
     EXPECT_TRUE(res.restored);
     EXPECT_EQ(res.deltas_dropped, 0u);
@@ -177,7 +159,7 @@ struct ChainRun {
 };
 
 TEST(DeltaChainTest, FullDeltaDeltaResumesBitIdentically) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   ScratchDir dir("spoofscope_delta_chain");
   const ChainRun run{&fx, pressured_params(), dir.file("det.ckpt"),
                      dir.file("final.ckpt")};
@@ -199,7 +181,7 @@ TEST(DeltaChainTest, FullDeltaDeltaResumesBitIdentically) {
 }
 
 TEST(DeltaChainTest, ResumeAtEveryCutDepth) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   ScratchDir dir("spoofscope_delta_cuts");
   const ChainRun run{&fx, pressured_params(), dir.file("det.ckpt"),
                      dir.file("final.ckpt")};
@@ -219,12 +201,12 @@ TEST(DeltaChainTest, ResumeAtEveryCutDepth) {
 
 /// Ingests flows while appending checkpoints at `cuts`, leaving a
 /// base + deltas chain on disk.
-std::size_t build_chain(const Fixture& fx, const StreamingParams& params,
+std::size_t build_chain(const testing::DetectorFixture& fx, const StreamingParams& params,
                         const std::string& base,
                         std::span<const net::FlowRecord> flows,
                         std::span<const std::size_t> cuts) {
   DeltaChain chain(base);
-  StreamingDetector d(*fx.classifier, 0, params);
+  StreamingDetector d(*fx.plane, 0, params);
   std::size_t next = 0;
   for (const std::size_t cut : cuts) {
     for (; next < cut; ++next) d.ingest(flows[next], [](const SpoofingAlert&) {});
@@ -234,7 +216,7 @@ std::size_t build_chain(const Fixture& fx, const StreamingParams& params,
 }
 
 TEST(DeltaChainTest, DamagedMiddleLinkStrictNamesFileAndSection) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   ScratchDir dir("spoofscope_delta_damage");
   const std::string base = dir.file("det.ckpt");
   const auto flows = make_stream(5, 900);
@@ -251,7 +233,7 @@ TEST(DeltaChainTest, DamagedMiddleLinkStrictNamesFileAndSection) {
   util::Rng rng(99);
   spew(d1, testing::flip_bits(good, rng, 3, good.size() / 2));
 
-  StreamingDetector strict(*fx.classifier, 0, pressured_params());
+  StreamingDetector strict(*fx.plane, 0, pressured_params());
   DeltaChain chain(base);
   try {
     chain.resume(strict, util::ErrorPolicy::kStrict);
@@ -264,7 +246,7 @@ TEST(DeltaChainTest, DamagedMiddleLinkStrictNamesFileAndSection) {
 
   // Skip: truncate at d1 — the detector settles at the base cut (100
   // flows) and both the damaged link and the now-stale d2 are unlinked.
-  StreamingDetector skip(*fx.classifier, 0, pressured_params());
+  StreamingDetector skip(*fx.plane, 0, pressured_params());
   DeltaChain chain2(base);
   util::IngestStats stats;
   const DeltaResume res = chain2.resume(skip, util::ErrorPolicy::kSkip, &stats);
@@ -277,7 +259,7 @@ TEST(DeltaChainTest, DamagedMiddleLinkStrictNamesFileAndSection) {
 
   // The truncated chain is immediately appendable again.
   DeltaChain chain3(base);
-  StreamingDetector again(*fx.classifier, 0, pressured_params());
+  StreamingDetector again(*fx.plane, 0, pressured_params());
   ASSERT_TRUE(chain3.resume(again).restored);
   EXPECT_FALSE(chain3.append(again, DetectorCheckpointExtra{}))
       << "a healthy base takes a delta link, not a rollover";
@@ -285,7 +267,7 @@ TEST(DeltaChainTest, DamagedMiddleLinkStrictNamesFileAndSection) {
 }
 
 TEST(DeltaChainTest, DamagedBaseNamesFileAndFallsBackFresh) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   ScratchDir dir("spoofscope_delta_base_damage");
   const std::string base = dir.file("det.ckpt");
   const auto flows = make_stream(6, 600);
@@ -296,7 +278,7 @@ TEST(DeltaChainTest, DamagedBaseNamesFileAndFallsBackFresh) {
   util::Rng rng(7);
   spew(base, testing::flip_bits(good, rng, 3, good.size() / 2));
 
-  StreamingDetector strict(*fx.classifier, 0, pressured_params());
+  StreamingDetector strict(*fx.plane, 0, pressured_params());
   DeltaChain chain(base);
   try {
     chain.resume(strict, util::ErrorPolicy::kStrict);
@@ -307,7 +289,7 @@ TEST(DeltaChainTest, DamagedBaseNamesFileAndFallsBackFresh) {
   }
 
   // Skip: unusable base means a fresh start; trailing links are stale.
-  StreamingDetector skip(*fx.classifier, 0, pressured_params());
+  StreamingDetector skip(*fx.plane, 0, pressured_params());
   DeltaChain chain2(base);
   const DeltaResume res = chain2.resume(skip, util::ErrorPolicy::kSkip);
   EXPECT_FALSE(res.restored);
@@ -317,7 +299,7 @@ TEST(DeltaChainTest, DamagedBaseNamesFileAndFallsBackFresh) {
 }
 
 TEST(DeltaChainTest, OrphanedLinksWithoutBase) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   ScratchDir dir("spoofscope_delta_orphan");
   const std::string base = dir.file("det.ckpt");
   const auto flows = make_stream(8, 600);
@@ -326,7 +308,7 @@ TEST(DeltaChainTest, OrphanedLinksWithoutBase) {
   fs::remove(base);
   ASSERT_TRUE(fs::exists(base + ".d1"));
 
-  StreamingDetector strict(*fx.classifier, 0, pressured_params());
+  StreamingDetector strict(*fx.plane, 0, pressured_params());
   DeltaChain chain(base);
   try {
     chain.resume(strict, util::ErrorPolicy::kStrict);
@@ -337,7 +319,7 @@ TEST(DeltaChainTest, OrphanedLinksWithoutBase) {
     EXPECT_NE(msg.find(base), std::string::npos) << msg;
   }
 
-  StreamingDetector skip(*fx.classifier, 0, pressured_params());
+  StreamingDetector skip(*fx.plane, 0, pressured_params());
   DeltaChain chain2(base);
   const DeltaResume res = chain2.resume(skip, util::ErrorPolicy::kSkip);
   EXPECT_FALSE(res.restored);
@@ -346,7 +328,7 @@ TEST(DeltaChainTest, OrphanedLinksWithoutBase) {
 }
 
 TEST(DeltaChainTest, ReorderedLinksFailTheChainProof) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   ScratchDir dir("spoofscope_delta_reorder");
   const std::string base = dir.file("det.ckpt");
   const auto flows = make_stream(9, 900);
@@ -362,12 +344,12 @@ TEST(DeltaChainTest, ReorderedLinksFailTheChainProof) {
   spew(d1, b2);
   spew(d2, b1);
 
-  StreamingDetector strict(*fx.classifier, 0, pressured_params());
+  StreamingDetector strict(*fx.plane, 0, pressured_params());
   DeltaChain chain(base);
   EXPECT_THROW(chain.resume(strict, util::ErrorPolicy::kStrict),
                SnapshotError);
 
-  StreamingDetector skip(*fx.classifier, 0, pressured_params());
+  StreamingDetector skip(*fx.plane, 0, pressured_params());
   DeltaChain chain2(base);
   const DeltaResume res = chain2.resume(skip, util::ErrorPolicy::kSkip);
   EXPECT_TRUE(res.restored);
@@ -377,7 +359,7 @@ TEST(DeltaChainTest, ReorderedLinksFailTheChainProof) {
 }
 
 TEST(DeltaChainTest, StaleLinkFromAnEarlierChainIsRejected) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   ScratchDir dir("spoofscope_delta_stale");
   const std::string base = dir.file("det.ckpt");
   const auto flows = make_stream(10, 900);
@@ -393,7 +375,7 @@ TEST(DeltaChainTest, StaleLinkFromAnEarlierChainIsRejected) {
   spew(base + ".d1", stale_d1);
 
   // Its parent digest points at the OLD base image: rejected.
-  StreamingDetector skip(*fx.classifier, 0, pressured_params());
+  StreamingDetector skip(*fx.plane, 0, pressured_params());
   DeltaChain chain(base);
   const DeltaResume res = chain.resume(skip, util::ErrorPolicy::kSkip);
   EXPECT_TRUE(res.restored);
@@ -403,14 +385,14 @@ TEST(DeltaChainTest, StaleLinkFromAnEarlierChainIsRejected) {
 }
 
 TEST(DeltaChainTest, RolloverCompactsTheChain) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   ScratchDir dir("spoofscope_delta_rollover");
   const std::string base = dir.file("det.ckpt");
   const auto flows = make_stream(12, 1200);
   const auto params = pressured_params();
 
   DeltaChain chain(base, /*max_chain=*/2);
-  StreamingDetector d(*fx.classifier, 0, params);
+  StreamingDetector d(*fx.plane, 0, params);
   std::size_t next = 0;
   const auto advance = [&](std::size_t upto) {
     for (; next < upto; ++next) d.ingest(flows[next], [](const SpoofingAlert&) {});
@@ -431,7 +413,7 @@ TEST(DeltaChainTest, RolloverCompactsTheChain) {
   EXPECT_FALSE(chain.append(d, {}));  // new d1 off the new base
 
   // The compacted chain resumes to the newest cut.
-  StreamingDetector r(*fx.classifier, 0, params);
+  StreamingDetector r(*fx.plane, 0, params);
   DeltaChain chain2(base);
   const DeltaResume res = chain2.resume(r);
   EXPECT_TRUE(res.restored);

@@ -23,6 +23,7 @@
 #include "bgp/message.hpp"
 #include "classify/flat_classifier.hpp"
 #include "classify/streaming.hpp"
+#include "detector_fixture.hpp"
 #include "net/prefix.hpp"
 #include "state/delta_chain.hpp"
 #include "state/plane_cache.hpp"
@@ -46,25 +47,6 @@ using net::pfx;
 using util::FaultInjector;
 using util::FaultKind;
 using util::InjectedCrash;
-
-struct Fixture {
-  Fixture() {
-    bgp::RoutingTableBuilder b;
-    b.ingest_route(pfx("50.0.0.0/16"), bgp::AsPath{1});
-    b.ingest_route(pfx("60.0.0.0/16"), bgp::AsPath{2});
-    table = b.build();
-    trie::IntervalSet s;
-    s.add(pfx("50.0.0.0/16"));
-    std::unordered_map<Asn, trie::IntervalSet> spaces;
-    spaces.emplace(1, std::move(s));
-    classifier = std::make_unique<Classifier>(
-        table, std::vector<inference::ValidSpace>{
-                   inference::ValidSpace(inference::Method::kFullCone,
-                                         std::move(spaces))});
-  }
-  bgp::RoutingTable table;
-  std::unique_ptr<Classifier> classifier;
-};
 
 StreamingParams pressured_params() {
   StreamingParams p;
@@ -159,7 +141,7 @@ struct RunResult {
 /// update stream (one apply per trigger point), delta checkpoints every
 /// `every` flows, crash anywhere -> restart from the newest durable cut.
 struct Pipeline {
-  const Fixture* fx;
+  const testing::DetectorFixture* fx;
   StreamingParams params;
   std::vector<net::FlowRecord> flows;
   std::vector<bgp::UpdateMessage> updates = make_updates();
@@ -339,11 +321,11 @@ TEST(FaultInjector, ScopeInstallsAndRestores) {
 // ---------------------------------------------------- write-side faults
 
 TEST(WriteFaults, EveryWriteFaultLeavesTheContractedDiskState) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   ScratchDir dir("spoofscope_write_faults");
   const std::string ckpt = dir.file("det.ckpt");
   const std::string tmp = ckpt + ".tmp";
-  StreamingDetector d(*fx.classifier, 0, pressured_params());
+  StreamingDetector d(*fx.plane, 0, pressured_params());
   const auto flows = make_stream(3, 200);
   for (const auto& f : flows) d.ingest(f, [](const SpoofingAlert&) {});
 
@@ -402,7 +384,7 @@ TEST(WriteFaults, EveryWriteFaultLeavesTheContractedDiskState) {
     EXPECT_THROW(d.save(ckpt), InjectedCrash);
   }
   EXPECT_NE(slurp(ckpt), good) << "rename happened: new bytes are visible";
-  StreamingDetector r(*fx.classifier, 0, pressured_params());
+  StreamingDetector r(*fx.plane, 0, pressured_params());
   EXPECT_TRUE(r.restore(ckpt));
   EXPECT_EQ(r.processed(), d.processed());
 }
@@ -410,10 +392,10 @@ TEST(WriteFaults, EveryWriteFaultLeavesTheContractedDiskState) {
 // ----------------------------------------------------- read-side faults
 
 TEST(ReadFaults, DetectorRestoreShortReadAndTornPage) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   ScratchDir dir("spoofscope_read_faults");
   const std::string ckpt = dir.file("det.ckpt");
-  StreamingDetector d(*fx.classifier, 0, pressured_params());
+  StreamingDetector d(*fx.plane, 0, pressured_params());
   const auto flows = make_stream(5, 300);
   for (const auto& f : flows) d.ingest(f, [](const SpoofingAlert&) {});
   d.save(ckpt);
@@ -424,7 +406,7 @@ TEST(ReadFaults, DetectorRestoreShortReadAndTornPage) {
       FaultInjector inj;
       inj.arm("detector.restore", 1, kind);
       FaultInjector::Scope scope(inj);
-      StreamingDetector strict(*fx.classifier, 0, pressured_params());
+      StreamingDetector strict(*fx.plane, 0, pressured_params());
       try {
         strict.restore(ckpt, util::ErrorPolicy::kStrict, nullptr, nullptr);
         FAIL() << "damaged read must throw in strict mode";
@@ -438,7 +420,7 @@ TEST(ReadFaults, DetectorRestoreShortReadAndTornPage) {
       FaultInjector inj;
       inj.arm("detector.restore", 1, kind);
       FaultInjector::Scope scope(inj);
-      StreamingDetector skip(*fx.classifier, 0, pressured_params());
+      StreamingDetector skip(*fx.plane, 0, pressured_params());
       util::IngestStats stats;
       EXPECT_FALSE(
           skip.restore(ckpt, util::ErrorPolicy::kSkip, &stats, nullptr));
@@ -446,13 +428,13 @@ TEST(ReadFaults, DetectorRestoreShortReadAndTornPage) {
     }
   }
   // The file itself was never damaged: a clean restore still works.
-  StreamingDetector clean(*fx.classifier, 0, pressured_params());
+  StreamingDetector clean(*fx.plane, 0, pressured_params());
   EXPECT_TRUE(clean.restore(ckpt));
   EXPECT_EQ(clean.processed(), flows.size());
 }
 
 TEST(ReadFaults, PlaneCacheLoadFaultRecompilesInSkipMode) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   ScratchDir dir("spoofscope_cache_faults");
   PlaneCache cache(dir.file("plane_cache"));
   const std::uint64_t want =
@@ -488,7 +470,7 @@ TEST(ReadFaults, PlaneCacheLoadFaultRecompilesInSkipMode) {
 }
 
 TEST(ReadFaults, ApplyUpdatesCrashLeavesThePlaneUntouched) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   FlatClassifier flat = FlatClassifier::compile(*fx.classifier);
   const std::uint64_t digest = flat.plane_digest();
   const std::uint64_t epoch = flat.epoch();
@@ -523,7 +505,7 @@ struct ArmedFault {
 };
 
 TEST(CrashChurnDifferential, EveryArmedFaultScenarioConvergesBitIdentically) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   ScratchDir dir("spoofscope_crash_churn");
   const std::vector<std::vector<ArmedFault>> scenarios = {
       {{"snapshot.write", 1, FaultKind::kShortWrite}},
@@ -573,7 +555,7 @@ TEST(CrashChurnDifferential, EveryArmedFaultScenarioConvergesBitIdentically) {
 }
 
 TEST(CrashChurnDifferential, SeededRandomFaultSweepsConverge) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   ScratchDir dir("spoofscope_random_faults");
   Pipeline p{&fx, pressured_params(), make_stream(33, 1200)};
   p.final_ckpt = dir.file("final.ckpt");

@@ -1,10 +1,9 @@
 // Checkpoint/resume differential: a detector killed at ANY record k and
 // restored from its checkpoint must finish the stream with exactly the
 // alerts and health counters of the uninterrupted run — across seeds,
-// both engines (trie and flat, at several compile thread counts), and
-// degraded-mode pressure (reorder buffer, member and sample caps), so
-// the checkpoint has to carry every piece of state that can influence a
-// future decision. Corrupted checkpoints must be rejected (strict) or
+// planes compiled at several thread counts, and degraded-mode pressure
+// (reorder buffer, member and sample caps), so the checkpoint has to
+// carry every piece of state that can influence a future decision. Corrupted checkpoints must be rejected (strict) or
 // degraded around into a clean fresh start (skip), never half-loaded.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -19,6 +18,7 @@
 #include "classify/flat_classifier.hpp"
 #include "classify/streaming.hpp"
 #include "corruption.hpp"
+#include "detector_fixture.hpp"
 #include "net/prefix.hpp"
 #include "state/snapshot.hpp"
 #include "util/rng.hpp"
@@ -30,28 +30,6 @@ namespace {
 namespace fs = std::filesystem;
 using net::Ipv4Addr;
 using net::pfx;
-
-/// Two-member routing view: member 1 owns 50.0/16, member 2 has routed
-/// space but no valid space, so its traffic classifies spoofed and both
-/// members grow windows (exercising the multi-member serialization).
-struct Fixture {
-  Fixture() {
-    bgp::RoutingTableBuilder b;
-    b.ingest_route(pfx("50.0.0.0/16"), bgp::AsPath{1});
-    b.ingest_route(pfx("60.0.0.0/16"), bgp::AsPath{2});
-    table = b.build();
-    trie::IntervalSet s;
-    s.add(pfx("50.0.0.0/16"));
-    std::unordered_map<Asn, trie::IntervalSet> spaces;
-    spaces.emplace(1, std::move(s));
-    classifier = std::make_unique<Classifier>(
-        table, std::vector<inference::ValidSpace>{
-                   inference::ValidSpace(inference::Method::kFullCone,
-                                         std::move(spaces))});
-  }
-  bgp::RoutingTable table;
-  std::unique_ptr<Classifier> classifier;
-};
 
 /// Degraded-mode pressure on every axis the checkpoint must carry:
 /// reorder buffer with a hard cap, member cap (evictions), sample cap.
@@ -153,11 +131,14 @@ class ScratchDir {
   fs::path path_;
 };
 
+// The detector on the plane compiled serially from the trie classifier
+// (the build every tool runs on) resumes bit-identically at every cut,
+// under member-cap evictions.
 TEST(StateResume, TrieEngineResumesBitIdenticallyAtEveryCut) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   ScratchDir dir("spoofscope_resume_trie");
   const auto params = pressured_params();
-  const auto make = [&] { return StreamingDetector(*fx.classifier, 0, params); };
+  const auto make = [&] { return StreamingDetector(*fx.plane, 0, params); };
   for (const std::uint64_t seed : {11u, 22u, 33u}) {
     const auto flows = make_stream(seed, 1200);
     const RunResult straight = uninterrupted(make, flows);
@@ -173,7 +154,7 @@ TEST(StateResume, TrieEngineResumesBitIdenticallyAtEveryCut) {
 }
 
 TEST(StateResume, FlatEngineResumesAcrossCompileThreadCounts) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   ScratchDir dir("spoofscope_resume_flat");
   const auto params = pressured_params();
   const std::size_t hw = std::max<std::size_t>(2, util::ThreadPool(0).thread_count());
@@ -197,26 +178,28 @@ TEST(StateResume, FlatEngineResumesAcrossCompileThreadCounts) {
   }
 }
 
-TEST(StateResume, CheckpointsArePortableAcrossEngines) {
-  Fixture fx;
+TEST(StateResume, CheckpointsArePortableAcrossPlanes) {
+  const auto& fx = testing::detector_fixture();
   ScratchDir dir("spoofscope_resume_cross");
   const auto params = pressured_params();
-  const FlatClassifier flat = FlatClassifier::compile(*fx.classifier);
+  util::ThreadPool pool(2);
+  const FlatClassifier other = FlatClassifier::compile(*fx.classifier, pool);
   const auto flows = make_stream(11, 1200);
-  const auto make_trie = [&] { return StreamingDetector(*fx.classifier, 0, params); };
-  const RunResult straight = uninterrupted(make_trie, flows);
+  const auto make = [&] { return StreamingDetector(*fx.plane, 0, params); };
+  const RunResult straight = uninterrupted(make, flows);
   const std::size_t k = flows.size() / 2;
 
-  // Save from the trie engine, resume on the flat engine (and back).
+  // Save on one plane, resume on a separately compiled one: the
+  // checkpoint carries detection state only, never the plane.
   RunResult cross;
   const auto sink = [&cross](const SpoofingAlert& a) { cross.alerts.push_back(a); };
   {
-    StreamingDetector before(*fx.classifier, 0, params);
+    StreamingDetector before(*fx.plane, 0, params);
     for (std::size_t i = 0; i < k; ++i) before.ingest(flows[i], sink);
-    before.save(dir.file("trie.ckpt"));
+    before.save(dir.file("cross.ckpt"));
   }
-  StreamingDetector after(flat, 0, params);
-  ASSERT_TRUE(after.restore(dir.file("trie.ckpt")));
+  StreamingDetector after(other, 0, params);
+  ASSERT_TRUE(after.restore(dir.file("cross.ckpt")));
   for (std::size_t i = k; i < flows.size(); ++i) after.ingest(flows[i], sink);
   after.flush(sink);
   cross.health = after.health();
@@ -225,18 +208,18 @@ TEST(StateResume, CheckpointsArePortableAcrossEngines) {
 }
 
 TEST(StateResume, ConfigMismatchRefusesTheCheckpoint) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   ScratchDir dir("spoofscope_resume_cfg");
   const auto flows = make_stream(11, 400);
   const std::string ckpt = dir.file("det.ckpt");
   {
-    StreamingDetector d(*fx.classifier, 0, pressured_params());
+    StreamingDetector d(*fx.plane, 0, pressured_params());
     for (const auto& f : flows) d.ingest(f, [](const SpoofingAlert&) {});
     d.save(ckpt);
   }
   StreamingParams other = pressured_params();
   other.min_share = 0.2;  // different detection semantics
-  StreamingDetector d(*fx.classifier, 0, other);
+  StreamingDetector d(*fx.plane, 0, other);
   try {
     d.restore(ckpt);
     FAIL() << "config mismatch did not throw in strict mode";
@@ -250,8 +233,8 @@ TEST(StateResume, ConfigMismatchRefusesTheCheckpoint) {
 }
 
 TEST(StateResume, MissingCheckpointThrowsStrictSkipsClean) {
-  Fixture fx;
-  StreamingDetector d(*fx.classifier, 0, pressured_params());
+  const auto& fx = testing::detector_fixture();
+  StreamingDetector d(*fx.plane, 0, pressured_params());
   EXPECT_THROW(d.restore("/nonexistent/dir/none.ckpt"), std::runtime_error);
   util::IngestStats st;
   EXPECT_FALSE(d.restore("/nonexistent/dir/none.ckpt",
@@ -260,10 +243,10 @@ TEST(StateResume, MissingCheckpointThrowsStrictSkipsClean) {
 }
 
 TEST(StateResume, CorruptedCheckpointsAreNeverSilentlyWrong) {
-  Fixture fx;
+  const auto& fx = testing::detector_fixture();
   ScratchDir dir("spoofscope_resume_fuzz");
   const auto params = pressured_params();
-  const auto make = [&] { return StreamingDetector(*fx.classifier, 0, params); };
+  const auto make = [&] { return StreamingDetector(*fx.plane, 0, params); };
   const auto flows = make_stream(22, 800);
   const RunResult straight = uninterrupted(make, flows);
 

@@ -2,8 +2,9 @@
 # Full verification sweep:
 #   1. tier-1: default build + complete ctest suite
 #   2. ThreadSanitizer build, running the concurrency-sensitive suites
-#      (the parallel engine oracles including the flat/trie and batch
-#      differentials, the thread pool, the streaming detector and the
+#      (the parallel classification oracles including the plane-vs-trie
+#      label and batch differentials, the thread pool, the streaming
+#      detector and the
 #      corruption differential suite, which classifies on a shared pool,
 #      the state suites, which resume/compile across thread counts, and
 #      the streaming-analysis oracle, which shards reports across pools)
@@ -31,6 +32,9 @@
 #      (SPOOFSCOPE_FAULT_SEEDS), and the plane-churn fuzz runs its full
 #      1000-step sweep (SPOOFSCOPE_CHURN_STEPS) against the fresh-compile
 #      digest oracle
+#   8. benchmark build guard: perfbench compiles ../src and ../tools into
+#      its own Release tree, so its self-tests are the place where an
+#      edit to the library APIs it drives breaks the benchmark's build
 #
 # The batch-classification suites run twice per sanitizer stage: once
 # with SPOOFSCOPE_SIMD=auto (the vector kernel this host supports) and
@@ -43,12 +47,15 @@ set -euo pipefail
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="$(nproc)"
 
-# Suites that drive FlatClassifier::classify_batch and therefore get the
-# auto/scalar double run.
+# Suites that drive FlatClassifier::classify_batch (directly, or through
+# the detector's and the service shards' ingest_batch) and therefore get
+# the auto/scalar double run.
 BATCH_SUITES=(
   classify_batch_oracle_test
   classify_simd_kernel_test
   classify_flat_oracle_test
+  service_differential_test
+  service_restart_test
 )
 
 is_batch_suite() {
@@ -103,7 +110,7 @@ TSAN_SUITES=(
   service_restart_test
 )
 
-echo "=== ThreadSanitizer: parallel + flat/trie differential suites ==="
+echo "=== ThreadSanitizer: parallel + classification differential suites ==="
 cmake -S "${REPO_ROOT}" -B "${REPO_ROOT}/build-tsan" \
   -DSPOOFSCOPE_SANITIZE=thread >/dev/null
 cmake --build "${REPO_ROOT}/build-tsan" -j "${JOBS}" --target "${TSAN_SUITES[@]}"
@@ -266,5 +273,8 @@ for tree in build-tsan build-asan build-ubsan; do
 done
 echo "--- build/tests/classify_plane_update_test (SPOOFSCOPE_CHURN_STEPS=1000)"
 SPOOFSCOPE_CHURN_STEPS=1000 "${REPO_ROOT}/build/tests/classify_plane_update_test"
+
+echo "=== benchmark build guard: perfbench self-tests ==="
+python3 "${REPO_ROOT}/perfbench/test_perfbench.py"
 
 echo "=== all checks passed ==="

@@ -11,7 +11,8 @@
 //   spoofscope classify --mrt FILE[,FILE...] --trace FILE
 //              [--rpsl FILE] [--method METHOD] [--labels OUT.csv]
 //       Build the routing view from MRT-lite feeds, infer per-member
-//       valid space, classify every flow (Fig 3) and print Table-1-style
+//       valid space, compile the classifier into the flat DIR-24-8
+//       plane, classify every flow (Fig 3) and print Table-1-style
 //       totals. METHOD is one of: naive, cc, cc+org, full, full+org
 //       (default full+org). --rpsl whitelists provider-assigned ranges
 //       and documented links before classification (Sec 4.4).
@@ -34,9 +35,9 @@
 //       state (crash-safe atomic snapshot) every N processed flows and
 //       at end of stream; --resume restores it first and skips the
 //       already-processed records, so a killed run continues with
-//       bit-identical alerts and health. --updates (flat engine) plays
-//       an MRT-lite announce/withdraw stream into the compiled plane as
-//       the trace advances — route churn patches the plane in place
+//       bit-identical alerts and health. --updates plays an MRT-lite
+//       announce/withdraw stream into the compiled plane as the trace
+//       advances — route churn patches the plane in place
 //       (FlatClassifier::apply_updates) instead of recompiling, and
 //       checkpoints record the update cursor so a resumed run replays
 //       the plane to the exact cut. --checkpoint-delta chains small
@@ -62,10 +63,10 @@
 // (net::FlowBatch), so classify never materializes the whole trace in
 // memory and never copies record bytes. --stats-json PATH writes the
 // per-source IngestStats (and, for detect, the DetectorHealth) as JSON
-// for monitoring pipelines. Under --engine flat, --plane-cache DIR
-// serves the compiled classification plane from a digest-validated
-// mmap'd snapshot when one matches the routing view and valid spaces,
-// compiling (and storing) only on a miss.
+// for monitoring pipelines. --plane-cache DIR serves the compiled
+// classification plane from a digest-validated mmap'd snapshot when one
+// matches the routing view and valid spaces, compiling (and storing)
+// only on a miss.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -117,24 +118,21 @@ constexpr std::size_t kChunkFlows = 1u << 17;
       "usage:\n"
       "  spoofscope generate --out DIR [--seed N] [--threads N]\n"
       "                      [--scale small|ixp|internet] [--scale-factor N]\n"
-      "                      [--engine trie|flat] [--simd auto|avx2|neon|scalar]\n"
       "  spoofscope classify --mrt FILES --trace FILE [--rpsl FILE]\n"
       "                      [--method naive|cc|cc+org|full|full+org]\n"
       "                      [--labels OUT.csv] [--threads N]\n"
-      "                      [--engine trie|flat] [--plane-cache DIR]\n"
-      "                      [--simd auto|avx2|neon|scalar]\n"
+      "                      [--plane-cache DIR]\n"
       "                      [--on-error strict|skip] [--stats-json PATH]\n"
       "  spoofscope report   --mrt FILES --trace FILE [--rpsl FILE]\n"
-      "                      [--threads N] [--engine trie|flat]\n"
+      "                      [--method naive|cc|cc+org|full|full+org]\n"
+      "                      [--labels OUT.csv] [--threads N]\n"
       "                      [--plane-cache DIR]\n"
-      "                      [--simd auto|avx2|neon|scalar]\n"
       "                      [--on-error strict|skip] [--stats-json PATH]\n"
       "  spoofscope detect   --mrt FILES --trace FILE [--rpsl FILE]\n"
       "                      [--method naive|cc|cc+org|full|full+org]\n"
       "                      [--window SECONDS] [--skew SECONDS]\n"
-      "                      [--threads N] [--engine trie|flat]\n"
-      "                      [--plane-cache DIR] [--updates FILE]\n"
-      "                      [--simd auto|avx2|neon|scalar]\n"
+      "                      [--threads N] [--plane-cache DIR]\n"
+      "                      [--updates FILE]\n"
       "                      [--checkpoint PATH] [--checkpoint-every N]\n"
       "                      [--checkpoint-delta] [--resume]\n"
       "                      [--on-error strict|skip] [--stats-json PATH]\n"
@@ -142,12 +140,11 @@ constexpr std::size_t kChunkFlows = 1u << 17;
       "                      [--rpsl FILE] [--shards N]\n"
       "                      [--method naive|cc|cc+org|full|full+org]\n"
       "                      [--window SECONDS] [--skew SECONDS]\n"
-      "                      [--threads N] [--engine trie|flat]\n"
-      "                      [--plane-cache DIR]\n"
-      "                      [--simd auto|avx2|neon|scalar]\n"
+      "                      [--threads N] [--plane-cache DIR]\n"
       "                      [--checkpoint-dir DIR] [--checkpoint-every N]\n"
       "                      [--resume] [--on-error strict|skip]\n"
       "\n"
+      "Flags not listed for a command are rejected.\n"
       "--threads N runs valid-space construction and classification on N\n"
       "worker threads (0 = hardware concurrency, default 1 = sequential);\n"
       "results are identical for every N.\n"
@@ -157,20 +154,18 @@ constexpr std::size_t kChunkFlows = 1u << 17;
       "concurrency and takes minutes of CPU). --scale-factor N divides\n"
       "the AS population by N — e.g. a sanitizer run exercising every\n"
       "chunk-parallel code path at affordable cost.\n"
-      "--engine flat compiles the classifier into the DIR-24-8 flat plane\n"
-      "(O(1) per-flow lookups) before classifying; labels are identical\n"
-      "to the default trie engine.\n"
-      "--simd selects the flat engine's batch kernel (default auto = best\n"
-      "this build + CPU supports). Kernels are bit-identical; the knob\n"
-      "changes throughput only. Requesting a kernel this host cannot run\n"
-      "is an error, not a silent fallback. Ignored under --engine trie.\n"
+      "classify, report, detect and serve compile the classifier into the\n"
+      "DIR-24-8 flat plane (O(1) per-flow lookups; ~64 MiB of tables) and\n"
+      "run the best batch kernel this build + CPU supports. --engine flat\n"
+      "is still accepted and changes nothing; --engine trie and --simd\n"
+      "were removed.\n"
       "--on-error skip quarantines malformed MRT lines, RPSL objects and\n"
       "corrupt trace records instead of aborting, prints an ingest report\n"
       "and analyses the surviving records (default: strict).\n"
       "--stats-json PATH writes per-source ingest statistics (and, for\n"
       "detect, the detector health counters) as JSON.\n"
-      "--plane-cache DIR (flat engine) caches the compiled classification\n"
-      "plane on disk keyed by a digest of the routing view + valid spaces;\n"
+      "--plane-cache DIR caches the compiled classification plane on\n"
+      "disk keyed by a digest of the routing view + valid spaces;\n"
       "hits mmap the plane instead of recompiling.\n"
       "--checkpoint PATH (detect) saves the detector state atomically\n"
       "every --checkpoint-every N flows (N > 0; and at end of stream);\n"
@@ -182,8 +177,8 @@ constexpr std::size_t kChunkFlows = 1u << 17;
       "of rewriting the whole state every interval; each link carries its\n"
       "parent's digest, and --resume replays the chain to the newest\n"
       "consistent cut (strict refuses a broken chain, skip truncates it).\n"
-      "--updates FILE (detect, flat engine) streams MRT-lite UPDATE lines\n"
-      "into the compiled plane as the trace plays: every announce or\n"
+      "--updates FILE (detect) streams MRT-lite UPDATE lines into the\n"
+      "compiled plane as the trace plays: every announce or\n"
       "withdraw with a timestamp <= the next flow's is patched into the\n"
       "plane in place before that flow is classified. Checkpoints record\n"
       "the update cursor, so a resumed run replays the already-applied\n"
@@ -196,18 +191,50 @@ constexpr std::size_t kChunkFlows = 1u << 17;
       "health, stats-json, alerts, checkpoint, reload-updates MRT, drain,\n"
       "shutdown). --checkpoint-dir DIR keeps one delta-checkpoint chain\n"
       "per shard (shard-<i>-of-<n>.ckpt) every --checkpoint-every flows;\n"
-      "--resume restores the chains on startup for rolling restart.\n"
-      "serve defaults to --engine flat (the shards share one compiled\n"
-      "plane; reload-updates requires it).\n";
+      "--resume restores the chains on startup for rolling restart.\n";
   std::exit(error.empty() ? 0 : 2);
 }
 
-std::map<std::string, std::string> parse_flags(int argc, char** argv, int from) {
+/// The flags each command accepts; anything else is a usage error, so a
+/// typo such as `--thread 4` fails instead of being silently ignored.
+/// `engine` stays only for compatibility and must be `flat`.
+const std::set<std::string>& accepted_flags(const std::string& cmd) {
+  static const std::map<std::string, std::set<std::string>> kFlags = {
+      {"generate",
+       {"out", "seed", "threads", "scale", "scale-factor", "paper", "engine"}},
+      {"classify",
+       {"mrt", "trace", "rpsl", "method", "labels", "threads", "engine",
+        "plane-cache", "on-error", "stats-json"}},
+      {"report",
+       {"mrt", "trace", "rpsl", "method", "labels", "threads", "engine",
+        "plane-cache", "on-error", "stats-json"}},
+      {"detect",
+       {"mrt", "trace", "rpsl", "method", "window", "skew", "threads",
+        "engine", "plane-cache", "updates", "checkpoint", "checkpoint-every",
+        "checkpoint-delta", "resume", "on-error", "stats-json"}},
+      {"serve",
+       {"mrt", "trace", "socket", "rpsl", "shards", "method", "window", "skew",
+        "threads", "engine", "plane-cache", "checkpoint-dir",
+        "checkpoint-every", "resume", "on-error"}},
+  };
+  const auto it = kFlags.find(cmd);
+  if (it == kFlags.end()) usage("unknown command: " + cmd);
+  return it->second;
+}
+
+std::map<std::string, std::string> parse_flags(const std::string& cmd,
+                                               int argc, char** argv,
+                                               int from) {
+  const std::set<std::string>& accepted = accepted_flags(cmd);
   std::map<std::string, std::string> flags;
   for (int i = from; i < argc; ++i) {
     std::string key = argv[i];
     if (key.rfind("--", 0) != 0) usage("unexpected argument: " + key);
     key = key.substr(2);
+    if (key == "simd") {
+      usage("--simd was removed: the batch kernel is chosen automatically");
+    }
+    if (!accepted.count(key)) usage("unknown flag for " + cmd + ": --" + key);
     if (key == "paper" || key == "resume" || key == "checkpoint-delta") {
       flags[key] = "1";
     } else if (i + 1 < argc) {
@@ -215,6 +242,11 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv, int from) 
     } else {
       usage("missing value for --" + key);
     }
+  }
+  if (flags.count("engine") && flags.at("engine") != "flat") {
+    usage("--engine " + flags.at("engine") +
+          " was removed: classification always runs on the compiled flat "
+          "plane (--engine flat is accepted and changes nothing)");
   }
   return flags;
 }
@@ -234,23 +266,6 @@ std::uint64_t u64_flag(const std::map<std::string, std::string>& flags,
 
 std::size_t threads_from(const std::map<std::string, std::string>& flags) {
   return static_cast<std::size_t>(u64_flag(flags, "threads", 1));
-}
-
-classify::Engine engine_from(const std::map<std::string, std::string>& flags) {
-  if (!flags.count("engine")) return classify::Engine::kTrie;
-  const auto engine = classify::parse_engine(flags.at("engine"));
-  if (!engine) usage("unknown engine: " + flags.at("engine"));
-  return *engine;
-}
-
-classify::SimdKernel simd_from(const std::map<std::string, std::string>& flags) {
-  if (!flags.count("simd")) return classify::SimdKernel::kAuto;
-  const auto kernel = classify::parse_simd_kernel(flags.at("simd"));
-  if (!kernel) usage("unknown simd kernel: " + flags.at("simd"));
-  if (!classify::simd_kernel_usable(*kernel)) {
-    usage("simd kernel not usable on this host: " + flags.at("simd"));
-  }
-  return *kernel;
 }
 
 util::ErrorPolicy policy_from(const std::map<std::string, std::string>& flags) {
@@ -401,8 +416,6 @@ int cmd_generate(const std::map<std::string, std::string>& flags) {
   }
   params.seed = u64_flag(flags, "seed", params.seed);
   if (flags.count("threads")) params.threads = threads_from(flags);
-  params.engine = engine_from(flags);
-  params.simd = simd_from(flags);
   const auto world = scenario::build_scenario(params);
 
   {
@@ -475,17 +488,16 @@ std::vector<net::Asn> scan_members(const net::MappedTrace& trace,
   return {members.begin(), members.end()};
 }
 
-/// Everything classify/report/detect share: the routing view (which the
-/// classifier points into — keep them together), the injecting members,
-/// the classifier with the RPSL whitelist applied and, under --engine
-/// flat, the compiled plane.
+/// Everything classify/report/detect/serve share: the routing view
+/// (which the classifier points into — keep them together), the
+/// injecting members, the classifier with the RPSL whitelist applied
+/// (the compile input) and the compiled plane every flow runs on.
 struct ClassifyContext {
   RoutingInputs routing;
   std::vector<net::Asn> members;
   inference::Method method = inference::Method::kFullConeOrg;
-  classify::Engine engine = classify::Engine::kTrie;
   std::unique_ptr<classify::Classifier> classifier;
-  std::optional<classify::FlatClassifier> flat;
+  std::optional<classify::FlatClassifier> flat;  ///< set by build_context
 };
 
 void build_context(const std::map<std::string, std::string>& flags,
@@ -495,7 +507,6 @@ void build_context(const std::map<std::string, std::string>& flags,
   ctx.routing = load_routing(flags, policy, sources);
   ctx.method = method_from(
       flags.count("method") ? flags.at("method") : std::string("full+org"));
-  ctx.engine = engine_from(flags);
   ctx.members = scan_members(trace, policy);
 
   inference::ValidSpaceFactory factory(ctx.routing.table, asgraph::OrgMap{});
@@ -521,27 +532,20 @@ void build_context(const std::map<std::string, std::string>& flags,
   // replaced by a digest-validated mmap load whenever a matching
   // snapshot exists (a stale or damaged entry recompiles under skip,
   // throws under strict).
-  if (flags.count("plane-cache") && ctx.engine != classify::Engine::kFlat) {
-    usage("--plane-cache requires --engine flat");
-  }
-  if (ctx.engine == classify::Engine::kFlat) {
-    if (flags.count("plane-cache")) {
-      state::PlaneCache cache(flags.at("plane-cache"));
-      util::IngestStats cache_stats;
-      auto loaded = cache.load_or_compile(*ctx.classifier, &pool, policy,
-                                          &cache_stats);
-      std::cout << "plane-cache: "
-                << (loaded.hit ? "hit" : "miss (compiled and stored)") << " "
-                << cache.entry_path(state::classifier_digest(*ctx.classifier))
-                << "\n";
-      if (!cache_stats.clean()) {
-        print_ingest(flags.at("plane-cache"), cache_stats);
-      }
-      sources.emplace_back(flags.at("plane-cache"), cache_stats);
-      ctx.flat.emplace(std::move(loaded.plane));
-    } else {
-      ctx.flat.emplace(classify::FlatClassifier::compile(*ctx.classifier, pool));
-    }
+  if (flags.count("plane-cache")) {
+    state::PlaneCache cache(flags.at("plane-cache"));
+    util::IngestStats cache_stats;
+    auto loaded = cache.load_or_compile(*ctx.classifier, &pool, policy,
+                                        &cache_stats);
+    std::cout << "plane-cache: "
+              << (loaded.hit ? "hit" : "miss (compiled and stored)") << " "
+              << cache.entry_path(state::classifier_digest(*ctx.classifier))
+              << "\n";
+    if (!cache_stats.clean()) print_ingest(flags.at("plane-cache"), cache_stats);
+    sources.emplace_back(flags.at("plane-cache"), cache_stats);
+    ctx.flat.emplace(std::move(loaded.plane));
+  } else {
+    ctx.flat.emplace(classify::FlatClassifier::compile(*ctx.classifier, pool));
   }
 }
 
@@ -552,7 +556,6 @@ int cmd_classify(const std::map<std::string, std::string>& flags, bool report) {
   const net::MappedTrace trace(trace_path);
 
   util::ThreadPool pool(threads_from(flags));
-  const classify::SimdKernel simd = simd_from(flags);
   SourceStats sources;
   ClassifyContext ctx;
   build_context(flags, policy, trace, pool, sources, ctx);
@@ -582,11 +585,7 @@ int cmd_classify(const std::map<std::string, std::string>& flags, bool report) {
   std::uint64_t flow_count = 0;
   while (reader.next_batch(batch, kChunkFlows) > 0) {
     labels.resize(batch.size());
-    if (ctx.flat) {
-      ctx.flat->classify_batch(batch, labels, pool, simd);
-    } else {
-      ctx.classifier->classify_batch(batch, labels, pool);
-    }
+    ctx.flat->classify_batch(batch, labels, pool);
     if (streaming) {
       streaming->add(batch, labels);
     } else {
@@ -615,8 +614,7 @@ int cmd_classify(const std::map<std::string, std::string>& flags, bool report) {
   std::cout << "classified " << flow_count << " flows from "
             << ctx.members.size() << " members under "
             << inference::method_name(ctx.method) << " (routing view: "
-            << ctx.routing.table.prefixes().size() << " prefixes, "
-            << classify::engine_name(ctx.engine) << " engine)\n\n";
+            << ctx.routing.table.prefixes().size() << " prefixes)\n\n";
   static const char* kClassNames[] = {"Bogon", "Unrouted", "Invalid", "Valid"};
   for (int c = 0; c < classify::kNumClasses; ++c) {
     const auto& cell = agg.totals[0][c];
@@ -663,10 +661,7 @@ int cmd_detect(const std::map<std::string, std::string>& flags) {
       static_cast<std::uint32_t>(u64_flag(flags, "window", params.window_seconds));
   params.reorder_skew_seconds =
       static_cast<std::uint32_t>(u64_flag(flags, "skew", 0));
-  params.simd = simd_from(flags);
-  classify::StreamingDetector detector =
-      ctx.flat ? classify::StreamingDetector(*ctx.flat, 0, params)
-               : classify::StreamingDetector(*ctx.classifier, 0, params);
+  classify::StreamingDetector detector(*ctx.flat, 0, params);
 
   const std::string ckpt =
       flags.count("checkpoint") ? flags.at("checkpoint") : std::string();
@@ -687,7 +682,6 @@ int cmd_detect(const std::map<std::string, std::string>& flags) {
   // pure function of (updates, flow timestamps).
   std::vector<bgp::UpdateMessage> updates;
   if (flags.count("updates")) {
-    if (!ctx.flat) usage("--updates requires --engine flat");
     std::ifstream uin(flags.at("updates"));
     if (!uin) usage("cannot open updates file: " + flags.at("updates"));
     util::IngestStats ustats;
@@ -813,8 +807,7 @@ int cmd_detect(const std::map<std::string, std::string>& flags) {
     }
   };
   const auto save_checkpoint = [&] {
-    const classify::DetectorCheckpointExtra extra{
-        ucursor, ctx.flat ? ctx.flat->epoch() : 0};
+    const classify::DetectorCheckpointExtra extra{ucursor, ctx.flat->epoch()};
     if (chain) {
       chain->append(detector, extra);
     } else {
@@ -887,8 +880,7 @@ int cmd_detect(const std::map<std::string, std::string>& flags) {
       std::span<const classify::DetectorHealth>(&shard_health, 1));
   std::cout << "detect: " << detector.processed() << " flows from "
             << ctx.members.size() << " members, " << alert_count
-            << " alerts (" << classify::engine_name(ctx.engine)
-            << " engine, window " << params.window_seconds << "s, skew "
+            << " alerts (window " << params.window_seconds << "s, skew "
             << params.reorder_skew_seconds << "s)\n"
             << service::format_health(health) << "\n";
 
@@ -900,13 +892,7 @@ int cmd_detect(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_serve(const std::map<std::string, std::string>& flags_in) {
-  // serve defaults to the flat engine: the shared compiled plane is the
-  // point of the resident service (and reload-updates requires it).
-  // --engine trie stays available as the oracle configuration.
-  auto flags = flags_in;
-  if (!flags.count("engine")) flags["engine"] = "flat";
-
+int cmd_serve(const std::map<std::string, std::string>& flags) {
   if (!flags.count("trace")) {
     usage("--trace is required (it seeds the member universe the valid "
           "spaces are built for)");
@@ -931,7 +917,6 @@ int cmd_serve(const std::map<std::string, std::string>& flags_in) {
       u64_flag(flags, "window", scfg.params.window_seconds));
   scfg.params.reorder_skew_seconds =
       static_cast<std::uint32_t>(u64_flag(flags, "skew", 0));
-  scfg.params.simd = simd_from(flags);
   scfg.policy = policy;
   scfg.pool = &pool;
   if (flags.count("checkpoint-dir")) {
@@ -948,18 +933,12 @@ int cmd_serve(const std::map<std::string, std::string>& flags_in) {
     usage("--checkpoint-every/--resume require --checkpoint-dir");
   }
 
-  std::optional<service::Server> server;
-  if (ctx.flat) {
-    // The hub takes the compiled plane by shared_ptr so reload-updates
-    // can patch it in place and republish to every shard.
-    server.emplace(
-        std::make_shared<classify::FlatClassifier>(std::move(*ctx.flat)),
-        scfg);
-  } else {
-    server.emplace(*ctx.classifier, scfg);
-  }
+  // The hub takes the compiled plane by shared_ptr so reload-updates can
+  // patch it in place and republish to every shard.
+  service::Server server(
+      std::make_shared<classify::FlatClassifier>(std::move(*ctx.flat)), scfg);
 
-  const auto info = server->start();
+  const auto info = server.start();
   if (scfg.resume) {
     if (info.shards_restored != 0) {
       std::cout << "resume: restored " << info.shards_restored
@@ -972,12 +951,11 @@ int cmd_serve(const std::map<std::string, std::string>& flags_in) {
   }
   std::cout << "serve: listening on " << flags.at("socket") << " (" << shards
             << " shard" << (shards == 1 ? "" : "s") << ", "
-            << classify::engine_name(ctx.engine) << " engine, "
             << ctx.members.size() << " members, window "
             << scfg.params.window_seconds << "s, skew "
             << scfg.params.reorder_skew_seconds << "s)\n";
   std::cout.flush();  // daemonized callers wait for this line
-  return service::run_control_loop(*server, flags.at("socket"), std::cout);
+  return service::run_control_loop(server, flags.at("socket"), std::cout);
 }
 
 }  // namespace
@@ -985,15 +963,14 @@ int cmd_serve(const std::map<std::string, std::string>& flags_in) {
 int main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string cmd = argv[1];
-  const auto flags = parse_flags(argc, argv, 2);
+  if (cmd == "help" || cmd == "--help") usage();
+  const auto flags = parse_flags(cmd, argc, argv, 2);
   try {
     if (cmd == "generate") return cmd_generate(flags);
     if (cmd == "classify") return cmd_classify(flags, /*report=*/false);
     if (cmd == "report") return cmd_classify(flags, /*report=*/true);
     if (cmd == "detect") return cmd_detect(flags);
-    if (cmd == "serve") return cmd_serve(flags);
-    if (cmd == "help" || cmd == "--help") usage();
-    usage("unknown command: " + cmd);
+    return cmd_serve(flags);  // parse_flags refused every other command
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
